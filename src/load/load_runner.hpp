@@ -2,7 +2,7 @@
 // finite link capacities.
 //
 // Wires the pieces together: TrafficModel emits per-city Poisson arrivals
-// onto a des::Simulator; each request routes through the three-tier
+// onto the runner's own des::Simulator; each request routes through the three-tier
 // SpaceCdnRouter (with path recording on, so the engine knows which links
 // its bytes cross); the transfer is then charged against real capacities --
 // admission control at the serving satellite, net::LinkLoad cut-through
@@ -11,10 +11,11 @@
 // therefore propagation + serialization + the queueing it actually saw.
 //
 // Determinism: every city draws from its own des::mix_seed stream keyed by
-// dataset index, and the simulation itself is serial, so a run's sample
-// sequence is a pure function of (world, config, seed).  Benches shard
-// *runs* (offered-load points) across threads and merge in point order,
-// keeping the fig9 checksum bit-identical for any --threads value.
+// dataset index, and one run is one serial simulation (run() is the only
+// entry point), so a run's sample sequence is a pure function of (world,
+// config, seed).  Parallelism lives one level up: benches shard *runs*
+// (offered-load points) across threads and merge in point order, keeping
+// the fig9 checksum bit-identical for any --threads value.
 #pragma once
 
 #include <array>
@@ -171,37 +172,22 @@ class LoadRunner {
   LoadRunner(lsn::StarlinkNetwork& network, space::SatelliteFleet& fleet,
              cdn::CdnDeployment& ground_cdn, std::vector<sim::Shell1Client> clients,
              LoadConfig config);
-
-  /// External-engine variant: the run's events land on `engine` instead of a
-  /// private simulator.  This is the sharded load mode's entry point -- each
-  /// shard's runner targets one ShardedSimulator shard and the caller drives
-  /// the engines (prepare() then the engine's run loop then collect());
-  /// `engine` must outlive the runner.
-  LoadRunner(des::Simulator& engine, lsn::StarlinkNetwork& network,
-             space::SatelliteFleet& fleet, cdn::CdnDeployment& ground_cdn,
-             std::vector<sim::Shell1Client> clients, LoadConfig config);
+  // Callbacks on the simulator, router and admission controller hold `this`.
+  LoadRunner(const LoadRunner&) = delete;
+  LoadRunner& operator=(const LoadRunner&) = delete;
 
   /// The backpressure hook: fires on every admission rejection.  Install
   /// before run(); e.g. feed a faults-style degradation policy.
   void set_reject_hook(AdmissionController::RejectHook hook);
 
-  /// Stage 1 of a run: prewarms placement, installs the fault schedule and
-  /// observability producers, and schedules every client's first arrival.
-  /// After this the engine is ready to run; call collect() once it drains.
-  void prepare();
-
-  /// Stage 2: aggregates the report after the engine has drained.  Also
-  /// mirrors the headline numbers into obs::metrics() when a registry is
-  /// installed (single-threaded sinks; call from one thread).
-  [[nodiscard]] LoadReport collect();
-
-  /// prepare() + run the engine to completion + collect(), the one-call
-  /// serial path every bench default uses.
+  /// Prewarms placement, installs the fault schedule and observability
+  /// producers, runs the simulator until it drains, and aggregates the
+  /// report.  Also mirrors the headline numbers into obs::metrics() when a
+  /// registry is installed (single-threaded sinks; call from one thread).
   [[nodiscard]] LoadReport run();
 
-  /// The simulator this run schedules on (owned unless the external-engine
-  /// constructor was used).
-  [[nodiscard]] des::Simulator& engine() noexcept { return *sim_; }
+  /// The simulator this run schedules on.
+  [[nodiscard]] des::Simulator& engine() noexcept { return sim_; }
 
   [[nodiscard]] const TrafficModel& traffic() const noexcept { return traffic_; }
   [[nodiscard]] const LoadConfig& config() const noexcept { return config_; }
@@ -233,9 +219,11 @@ class LoadRunner {
   /// recorder once per window.
   void note_deadline_miss(Milliseconds now);
 
-  /// Shared tail of both constructors: churn/degradation/hook wiring, the
-  /// per-city streams, and observability setup.
-  void init(lsn::StarlinkNetwork& network, space::SatelliteFleet& fleet);
+  /// Stage 1 of run(): prewarms placement, installs the fault schedule and
+  /// observability producers, and schedules every client's first arrival.
+  void prepare();
+  /// Stage 2 of run(): aggregates the report after the simulator drained.
+  [[nodiscard]] LoadReport collect();
   /// Engages the recorder / SLO tracker / timeline producers per config
   /// (called from the constructor; no-op when everything is off).
   void setup_observability();
@@ -248,10 +236,7 @@ class LoadRunner {
   space::SatelliteFleet* fleet_;
   LoadConfig config_;
   TrafficModel traffic_;
-  /// Engine storage for the owning constructor; null in external-engine mode.
-  std::unique_ptr<des::Simulator> owned_sim_;
-  /// The engine every event lands on (owned_sim_ or the caller's shard).
-  des::Simulator* sim_;
+  des::Simulator sim_;
   space::SpaceCdnRouter router_;
   AdmissionController admission_;
   /// Applies fault_schedule events mid-run (engaged only when non-empty).

@@ -47,13 +47,13 @@ struct FetchResult {
   /// The satellite overhead of the client that served the downlink.
   std::uint32_t serving_satellite = 0;
   /// Gateway index of the bent-pipe leg (tier iii only).
-  std::optional<std::size_t> gateway;
+  std::optional<std::size_t> gateway = std::nullopt;
   /// Satellites traversed over ISLs, serving first (tier ii: serving ->
   /// replica holder; tier iii: serving -> landing satellite).  Filled only
   /// when RouterConfig::record_paths is set -- the load engine needs the
   /// concrete links to charge bandwidth against, latency-only callers
   /// should not pay the allocation.
-  std::vector<std::uint32_t> isl_path;
+  std::vector<std::uint32_t> isl_path = {};
 };
 
 /// Retry/timeout policy of the resilient fetch path (fetch_resilient).

@@ -5,133 +5,17 @@
 
 #include <cmath>
 
-#include "cdn/consistent_hash.hpp"
 #include "cdn/hierarchy.hpp"
 #include "data/datasets.hpp"
 #include "geo/distance.hpp"
 #include "lsn/cell_capacity.hpp"
 #include "measurement/traceroute.hpp"
-#include "net/flow.hpp"
 #include "sim/world.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 
 namespace spacecdn {
 namespace {
-
-// -------------------------------------------------------------------- flows
-
-TEST(SharedLink, SingleFlowRunsAtLineRate) {
-  des::Simulator sim;
-  net::SharedLink link(sim, Mbps{80.0});  // 10 MB/s
-  std::vector<net::FlowRecord> done;
-  (void)link.start_flow(Megabytes{10.0},
-                        [&](const net::FlowRecord& r) { done.push_back(r); });
-  sim.run();
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_NEAR(done[0].duration().value(), 1000.0, 1e-6);
-  EXPECT_NEAR(done[0].goodput().value(), 80.0, 1e-6);
-}
-
-TEST(SharedLink, TwoEqualFlowsShareFairly) {
-  des::Simulator sim;
-  net::SharedLink link(sim, Mbps{80.0});
-  std::vector<net::FlowRecord> done;
-  const auto record = [&](const net::FlowRecord& r) { done.push_back(r); };
-  (void)link.start_flow(Megabytes{10.0}, record);
-  (void)link.start_flow(Megabytes{10.0}, record);
-  sim.run();
-  ASSERT_EQ(done.size(), 2u);
-  // Both halve the rate: 2 s each instead of 1 s.
-  EXPECT_NEAR(done[0].duration().value(), 2000.0, 1.0);
-  EXPECT_NEAR(done[1].duration().value(), 2000.0, 1.0);
-}
-
-TEST(SharedLink, ShortFlowDelaysLongFlowExactly) {
-  des::Simulator sim;
-  net::SharedLink link(sim, Mbps{80.0});  // 10 MB/s
-  std::vector<net::FlowRecord> done;
-  const auto record = [&](const net::FlowRecord& r) { done.push_back(r); };
-  // Long flow: 20 MB. Short flow of 5 MB arrives at t=0 too.
-  (void)link.start_flow(Megabytes{20.0}, record);
-  (void)link.start_flow(Megabytes{5.0}, record);
-  sim.run();
-  ASSERT_EQ(done.size(), 2u);
-  // Short flow: shares 5 MB/s until done at t=1s.  Long flow: 5 MB by t=1s,
-  // then 15 MB at full 10 MB/s -> finishes at 2.5 s.
-  EXPECT_NEAR(done[0].duration().value(), 1000.0, 1.0);
-  EXPECT_NEAR(done[1].duration().value(), 2500.0, 1.0);
-}
-
-TEST(SharedLink, LateArrivalSharesRemainder) {
-  des::Simulator sim;
-  net::SharedLink link(sim, Mbps{80.0});
-  std::vector<std::pair<net::FlowId, double>> finished;
-  (void)link.start_flow(Megabytes{10.0}, [&](const net::FlowRecord& r) {
-    finished.emplace_back(r.id, r.finished.value());
-  });
-  sim.schedule(Milliseconds{500.0}, [&] {
-    (void)link.start_flow(Megabytes{10.0}, [&](const net::FlowRecord& r) {
-      finished.emplace_back(r.id, r.finished.value());
-    });
-  });
-  sim.run();
-  ASSERT_EQ(finished.size(), 2u);
-  // Flow 1 alone for 0.5 s (5 MB), then shares: remaining 5 MB at 5 MB/s ->
-  // finishes at 1.5 s.  Flow 2: 5 MB by 1.5 s, then full rate -> 2.0 s.
-  EXPECT_NEAR(finished[0].second, 1500.0, 1.0);
-  EXPECT_NEAR(finished[1].second, 2000.0, 1.0);
-}
-
-TEST(SharedLink, CancelStopsCallbackAndFreesShare) {
-  des::Simulator sim;
-  net::SharedLink link(sim, Mbps{80.0});
-  int callbacks = 0;
-  const auto id = link.start_flow(Megabytes{50.0},
-                                  [&](const net::FlowRecord&) { ++callbacks; });
-  std::vector<double> finish;
-  (void)link.start_flow(Megabytes{10.0}, [&](const net::FlowRecord& r) {
-    finish.push_back(r.finished.value());
-  });
-  sim.schedule(Milliseconds{100.0}, [&] { EXPECT_TRUE(link.cancel_flow(id)); });
-  sim.run();
-  EXPECT_EQ(callbacks, 0);
-  ASSERT_EQ(finish.size(), 1u);
-  // 0.1 s shared (0.5 MB) + 9.5 MB at full rate = 0.1 + 0.95 s.
-  EXPECT_NEAR(finish[0], 1050.0, 1.0);
-  EXPECT_FALSE(link.cancel_flow(id));
-}
-
-TEST(SharedLink, ZeroByteFlowCompletesImmediately) {
-  des::Simulator sim;
-  net::SharedLink link(sim, Mbps{10.0});
-  bool fired = false;
-  (void)link.start_flow(Megabytes{0.0}, [&](const net::FlowRecord& r) {
-    fired = true;
-    EXPECT_DOUBLE_EQ(r.duration().value(), 0.0);
-  });
-  sim.run();
-  EXPECT_TRUE(fired);
-}
-
-TEST(SharedLink, ManyFlowsConserveWork) {
-  des::Simulator sim;
-  net::SharedLink link(sim, Mbps{80.0});  // 10 MB/s
-  double total_mb = 0.0;
-  double last_finish = 0.0;
-  des::Rng rng(1);
-  for (int i = 0; i < 50; ++i) {
-    const double mb = rng.uniform(0.5, 5.0);
-    total_mb += mb;
-    (void)link.start_flow(Megabytes{mb}, [&](const net::FlowRecord& r) {
-      last_finish = std::max(last_finish, r.finished.value());
-    });
-  }
-  sim.run();
-  EXPECT_EQ(link.completed_flows(), 50u);
-  // Work conservation: the busy period ends exactly at total/capacity.
-  EXPECT_NEAR(last_finish, total_mb / 10.0 * 1000.0, 1.0);
-}
 
 // ---------------------------------------------------------------- hierarchy
 
@@ -181,66 +65,6 @@ TEST(Hierarchy, LatencyAccumulatesPerTier) {
   EXPECT_GT(miss.first_byte.value(), 100.0);
   const auto hit = tree.serve(edge, obj, Milliseconds{10.0}, Milliseconds{0.0});
   EXPECT_DOUBLE_EQ(hit.first_byte.value(), 10.0);
-}
-
-// --------------------------------------------------------- consistent hash
-
-TEST(ConsistentHash, DeterministicAssignment) {
-  cdn::ConsistentHashRing ring;
-  ring.add_server("a");
-  ring.add_server("b");
-  ring.add_server("c");
-  for (cdn::ContentId id = 0; id < 100; ++id) {
-    EXPECT_EQ(ring.server_for(id), ring.server_for(id));
-  }
-}
-
-TEST(ConsistentHash, BalanceWithinTolerance) {
-  cdn::ConsistentHashRing ring(200);
-  for (const char* name : {"s1", "s2", "s3", "s4", "s5"}) ring.add_server(name);
-  const auto fractions = ring.ownership_fractions();
-  ASSERT_EQ(fractions.size(), 5u);
-  for (const auto& [name, fraction] : fractions) {
-    EXPECT_NEAR(fraction, 0.2, 0.06) << name;
-  }
-}
-
-TEST(ConsistentHash, RemovalOnlyRemapsVictimsKeys) {
-  cdn::ConsistentHashRing ring;
-  for (const char* name : {"s1", "s2", "s3", "s4"}) ring.add_server(name);
-  std::map<cdn::ContentId, std::string> before;
-  for (cdn::ContentId id = 0; id < 5000; ++id) before[id] = ring.server_for(id);
-  ASSERT_TRUE(ring.remove_server("s2"));
-  std::uint64_t moved = 0;
-  for (cdn::ContentId id = 0; id < 5000; ++id) {
-    const std::string& now = ring.server_for(id);
-    EXPECT_NE(now, "s2");
-    if (before[id] != "s2") {
-      EXPECT_EQ(now, before[id]);  // untouched keys stay put
-    } else {
-      ++moved;
-    }
-  }
-  EXPECT_GT(moved, 0u);
-}
-
-TEST(ConsistentHash, ReplicaSetsAreDistinct) {
-  cdn::ConsistentHashRing ring;
-  for (const char* name : {"s1", "s2", "s3"}) ring.add_server(name);
-  const auto replicas = ring.servers_for(42, 3);
-  ASSERT_EQ(replicas.size(), 3u);
-  EXPECT_NE(replicas[0], replicas[1]);
-  EXPECT_NE(replicas[1], replicas[2]);
-  // Asking for more replicas than servers returns all servers.
-  EXPECT_EQ(ring.servers_for(42, 10).size(), 3u);
-}
-
-TEST(ConsistentHash, EmptyRingThrows) {
-  cdn::ConsistentHashRing ring;
-  EXPECT_THROW((void)ring.server_for(1), ConfigError);
-  ring.add_server("only");
-  EXPECT_EQ(ring.server_for(1), "only");
-  EXPECT_FALSE(ring.remove_server("ghost"));
 }
 
 // ------------------------------------------------------------ cell capacity

@@ -13,7 +13,6 @@
 #include "load/capacity.hpp"
 #include "load/degradation.hpp"
 #include "load/load_runner.hpp"
-#include "load/sharded.hpp"
 #include "load/traffic.hpp"
 #include "lsn/starlink.hpp"
 #include "sim/scenario.hpp"
@@ -631,87 +630,6 @@ TEST(LoadRunner, SeriesAndTimelineAreDeterministic) {
   EXPECT_EQ(plain.rejected, a.rejected);
   EXPECT_TRUE(plain.timeline.empty());
   EXPECT_TRUE(plain.series.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Sharded load mode (load::run_sharded_load over des::ShardedSimulator)
-// ---------------------------------------------------------------------------
-
-load::ShardedLoadOutcome run_sharded(sim::World& world, const load::LoadConfig& config,
-                                     std::size_t shards, ThreadPool* pool) {
-  load::ShardedLoadOptions options;
-  options.shards = shards;
-  return load::run_sharded_load(
-      world.network(), world.clients(), config, options,
-      [&world] { return world.make_fleet(); },
-      [&world] { return world.make_ground_cdn(); }, pool);
-}
-
-void expect_reports_identical(const load::LoadReport& a, const load::LoadReport& b) {
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.no_coverage, b.no_coverage);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.latency_ms.raw(), b.latency_ms.raw());  // bit-exact, in order
-  EXPECT_EQ(a.queue_wait_ms.raw(), b.queue_wait_ms.raw());
-  EXPECT_EQ(a.satellite_utilization, b.satellite_utilization);
-}
-
-TEST(ShardedLoad, PartitionPreservesClientsAndOrder) {
-  sim::World world(load_test_spec());
-  const auto& clients = world.clients();
-  const auto groups =
-      load::partition_clients_by_serving(world.network(), clients, 3);
-  ASSERT_EQ(groups.size(), 3u);
-  std::size_t total = 0;
-  for (const auto& group : groups) {
-    total += group.size();
-    // Within a group, clients keep their input (dataset) order.
-    for (std::size_t i = 1; i < group.size(); ++i) {
-      EXPECT_LT(group[i - 1].dataset_index, group[i].dataset_index);
-    }
-  }
-  EXPECT_EQ(total, clients.size());
-}
-
-TEST(ShardedLoad, SingleShardMatchesSerialRunner) {
-  sim::World world(load_test_spec());
-  const load::LoadConfig config = load::load_config_from_spec(world.spec());
-  const load::LoadReport serial = run_load(world, config);
-  const load::ShardedLoadOutcome sharded = run_sharded(world, config, 1, nullptr);
-  expect_reports_identical(serial, sharded.report);
-  EXPECT_GT(sharded.windows, 0u);
-  ASSERT_EQ(sharded.shard_completed.size(), 1u);
-  EXPECT_EQ(sharded.shard_completed[0], serial.completed);
-}
-
-TEST(ShardedLoad, FixedShardCountIsThreadInvariant) {
-  sim::World world(load_test_spec());
-  const load::LoadConfig config = load::load_config_from_spec(world.spec());
-  const load::ShardedLoadOutcome serial = run_sharded(world, config, 3, nullptr);
-  EXPECT_GT(serial.report.completed, 0u);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    const load::ShardedLoadOutcome parallel = run_sharded(world, config, 3, &pool);
-    expect_reports_identical(serial.report, parallel.report);
-    EXPECT_EQ(serial.shard_completed, parallel.shard_completed);
-    EXPECT_EQ(serial.windows, parallel.windows);
-  }
-}
-
-TEST(ShardedLoad, RejectsPerRunGlobalProducers) {
-  sim::World world(load_test_spec());
-  load::LoadConfig faulted = load::load_config_from_spec(world.spec());
-  using faults::Component;
-  using faults::Transition;
-  faulted.fault_schedule = faults::FaultSchedule::from_trace(
-      {{Milliseconds{100.0}, Component::kSatellite, Transition::kFail, 1}});
-  EXPECT_THROW((void)run_sharded(world, faulted, 2, nullptr), ConfigError);
-
-  load::LoadConfig with_series = load::load_config_from_spec(world.spec());
-  with_series.series_interval = Milliseconds{100.0};
-  EXPECT_THROW((void)run_sharded(world, with_series, 2, nullptr), ConfigError);
 }
 
 }  // namespace

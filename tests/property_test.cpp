@@ -235,9 +235,13 @@ INSTANTIATE_TEST_SUITE_P(Designs, WalkerProperty,
                          ::testing::Values(WalkerCase{4, 4, 0}, WalkerCase{8, 8, 3},
                                            WalkerCase{12, 6, 5}, WalkerCase{72, 22, 39}),
                          [](const auto& info) {
-                           return "p" + std::to_string(info.param.planes) + "s" +
-                                  std::to_string(info.param.sats) + "f" +
-                                  std::to_string(info.param.phasing);
+                           std::string name = "p";
+                           name += std::to_string(info.param.planes);
+                           name += "s";
+                           name += std::to_string(info.param.sats);
+                           name += "f";
+                           name += std::to_string(info.param.phasing);
+                           return name;
                          });
 
 // ----------------------------------------------------------------- placement

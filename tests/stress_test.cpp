@@ -9,7 +9,6 @@
 
 #include "cdn/cache.hpp"
 #include "des/simulator.hpp"
-#include "net/flow.hpp"
 #include "net/graph.hpp"
 #include "util/error.hpp"
 
@@ -153,35 +152,6 @@ TEST(Stress, SimulatorClockNeverRegresses) {
   }
   sim.run();
   EXPECT_GE(last, 0.0);
-}
-
-TEST(Stress, SharedLinkRandomArrivalsConserveBytes) {
-  des::Simulator sim;
-  net::SharedLink link(sim, Mbps{160.0});  // 20 MB/s
-  des::Rng rng(104);
-
-  double total_mb = 0.0;
-  double weighted_completion = 0.0;  // sum of per-flow size
-  double arrivals_span_ms = 0.0;
-  for (int i = 0; i < 120; ++i) {
-    const double at = rng.uniform(0.0, 3000.0);
-    const double mb = rng.uniform(0.2, 8.0);
-    arrivals_span_ms = std::max(arrivals_span_ms, at);
-    total_mb += mb;
-    sim.schedule(Milliseconds{at}, [&, mb] {
-      (void)link.start_flow(Megabytes{mb}, [&](const net::FlowRecord& r) {
-        weighted_completion += r.size.value();
-        // No flow finishes before its bytes could possibly have been sent.
-        EXPECT_GE(r.duration().value(), r.size.value() / 20.0 * 1000.0 - 1e-6);
-      });
-    });
-  }
-  sim.run();
-  EXPECT_EQ(link.completed_flows(), 120u);
-  EXPECT_NEAR(weighted_completion, total_mb, 1e-9);
-  EXPECT_EQ(link.active_flows(), 0u);
-  // The whole batch cannot finish before all bytes fit through the pipe.
-  EXPECT_GE(sim.now().value(), total_mb / 20.0 * 1000.0 - 1e-6);
 }
 
 TEST(Stress, GraphReusedAfterClearEdges) {
