@@ -64,7 +64,8 @@ ChurnRunResult run_churn(const sim::World& world, Milliseconds mtbf, Millisecond
 
   // Pre-seed the paper's 4-copies-per-plane placement; the repair daemon
   // guards exactly this invariant for the whole catalog.
-  const space::ContentPlacement placement(network.constellation(), {});
+  const space::PlacementMap placement(network.constellation(),
+                                      {.policy = space::PlacementPolicy::kPerPlane});
   std::vector<cdn::ContentItem> items;
   items.reserve(catalog.size());
   for (cdn::ContentId id = 0; id < catalog.size(); ++id) {

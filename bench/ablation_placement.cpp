@@ -8,8 +8,19 @@
 #include "des/random.hpp"
 #include "sim/runner.hpp"
 #include "spacecdn/fleet.hpp"
-#include "spacecdn/placement.hpp"
+#include "spacecdn/placement_map.hpp"
 #include "util/table.hpp"
+
+namespace {
+
+// Paper section 5: an HPE DL325-class server attaches ~150 TB; 6,000
+// satellites then hold upwards of 900 PB, enough for >300 M 2-hour 1080p
+// videos (~3 Mbps streams).
+constexpr double kPaperTbPerSatellite = 150.0;
+constexpr double kPaperFleetSatellites = 6000.0;
+constexpr double kPaperVideoMb = 2.0 * 3600.0 * 3.0 / 8.0;  // 2 h @ 3 Mbps
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace spacecdn;
@@ -28,10 +39,9 @@ int main(int argc, char** argv) {
                       "p99 hops", "max hops"});
   for (const std::uint32_t stride : {1u, 2u, 4u}) {
     for (const std::uint32_t copies : {1u, 2u, 4u, 6u, 8u}) {
-      space::PlacementConfig cfg;
-      cfg.copies_per_plane = copies;
-      cfg.plane_stride = stride;
-      const space::ContentPlacement placement(shell, cfg);
+      const space::PlacementMap placement(shell,
+                                          {.policy = space::PlacementPolicy::kPerPlane,
+                                           .replicas = copies, .plane_stride = stride});
       const auto stats = placement.analyze(4000, 1000, rng);
       const auto replicas = placement.replicas(0).size();
       runner.checksum().add(stats.mean_hops);
@@ -49,15 +59,19 @@ int main(int argc, char** argv) {
                "within 5 hops (even intra-plane alone: 22/(2*4) -> <=3).\n";
 
   std::cout << "\nStorage arithmetic (paper section 5):\n";
-  const space::FleetConfig fleet_cfg;
-  const double tb_per_sat = fleet_cfg.capacity_per_satellite.value() / 1e6;
-  const double fleet_pb_6000 = 6000.0 * tb_per_sat / 1000.0;
-  const double video_mb = 2.0 * 3600.0 * 5.0 / 8.0 * 8.0;  // ~2h 1080p @ ~8 Mbps
-  const double videos = 6000.0 * fleet_cfg.capacity_per_satellite.value() / video_mb;
-  std::cout << "  - per satellite: " << tb_per_sat << " TB (HPE DL325-class server)\n";
-  std::cout << "  - 6,000-satellite fleet: " << fleet_pb_6000
+  const double paper_fleet_pb = kPaperFleetSatellites * kPaperTbPerSatellite / 1000.0;
+  const double paper_videos = paper_fleet_pb * 1e9 / kPaperVideoMb;
+  std::cout << "  - per satellite: " << kPaperTbPerSatellite
+            << " TB (HPE DL325-class server)\n";
+  std::cout << "  - 6,000-satellite fleet: " << paper_fleet_pb
             << " PB (paper: upwards of 900 PB)\n";
-  std::cout << "  - ~" << static_cast<long>(videos / 1e6)
-            << "M 2-hour 1080p videos (paper: >300M)\n";
+  std::cout << "  - ~" << static_cast<long>(paper_videos / 1e6)
+            << "M 2-hour 1080p videos at 3 Mbps (paper: >300M)\n";
+  const double model_gb_per_sat =
+      runner.world().fleet_config().capacity_per_satellite.value() / 1000.0;
+  std::cout << "Simulated model (--fleet-capacity-mb): " << model_gb_per_sat
+            << " GB per satellite, "
+            << model_gb_per_sat * shell.size() / 1000.0 << " TB across "
+            << shell.size() << " satellites\n";
   return runner.finish();
 }

@@ -37,7 +37,7 @@
 #include "data/datasets.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/runner.hpp"
-#include "spacecdn/placement.hpp"
+#include "spacecdn/placement_map.hpp"
 #include "spacecdn/router.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -115,7 +115,8 @@ int main(int argc, char** argv) {
   cdn::CdnDeployment ground(data::cdn_sites(), {});
   space::SpaceCdnRouter router(network, fleet, ground, {.admit_on_fetch = false});
 
-  const space::ContentPlacement placement(network.constellation(), {});
+  const space::PlacementMap placement(network.constellation(),
+                                      {.policy = space::PlacementPolicy::kPerPlane});
   for (cdn::ContentId id = 0; id < catalog.size(); ++id) {
     placement.place(fleet, catalog.item(id), Milliseconds{0.0});
   }

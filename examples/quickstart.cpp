@@ -9,7 +9,7 @@
 #include "cdn/deployment.hpp"
 #include "data/datasets.hpp"
 #include "sim/world.hpp"
-#include "spacecdn/placement.hpp"
+#include "spacecdn/placement_map.hpp"
 #include "spacecdn/router.hpp"
 
 int main() {
@@ -43,9 +43,9 @@ int main() {
   // 3. SpaceCDN: give every satellite a cache and replicate one object four
   //    times per orbital plane (the paper's 5-hop-reachability recipe).
   space::SatelliteFleet& fleet = world.fleet();
-  space::PlacementConfig placement_cfg;
-  placement_cfg.copies_per_plane = 4;
-  const space::ContentPlacement placement(network.constellation(), placement_cfg);
+  const space::PlacementMap placement(
+      network.constellation(),
+      {.policy = space::PlacementPolicy::kPerPlane, .replicas = 4});
 
   const cdn::ContentItem video{/*id=*/1, Megabytes{250.0}, data::Region::kAfrica};
   placement.place(fleet, video, Milliseconds{0.0});

@@ -13,7 +13,6 @@
 #include "obs/trace.hpp"
 #include "sim/runner.hpp"
 #include "spacecdn/fleet.hpp"
-#include "spacecdn/placement.hpp"
 #include "spacecdn/router.hpp"
 #include "util/table.hpp"
 

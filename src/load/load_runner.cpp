@@ -5,12 +5,17 @@
 
 #include "data/datasets.hpp"
 #include "obs/telemetry.hpp"
-#include "spacecdn/placement.hpp"
+#include "spacecdn/placement_map.hpp"
 #include "util/error.hpp"
 
 namespace spacecdn::load {
 
 namespace {
+
+/// Replica prewarm: the paper's per-plane layout, 4 copies in every 8th
+/// plane, so tier (ii) has content to find.
+constexpr space::PlacementMapConfig kPrewarmPlacement{
+    .policy = space::PlacementPolicy::kPerPlane, .replicas = 4, .plane_stride = 8};
 
 space::RouterConfig router_config(const LoadConfig& config) {
   space::RouterConfig rc;
@@ -194,13 +199,9 @@ LoadReport LoadRunner::run() {
 void LoadRunner::prepare() {
   // Prewarm replicas across the constellation so tier (ii) has content to
   // find (the paper's in-plane placement argument, section 4).
-  if (config_.copies_per_plane > 0) {
-    const space::ContentPlacement placement(
-        network_->constellation(),
-        {config_.copies_per_plane, config_.placement_plane_stride});
-    for (const cdn::ContentItem& item : traffic_.catalog().items()) {
-      placement.place(*fleet_, item, Milliseconds{0.0});
-    }
+  const space::PlacementMap placement(network_->constellation(), kPrewarmPlacement);
+  for (const cdn::ContentItem& item : traffic_.catalog().items()) {
+    placement.place(*fleet_, item, Milliseconds{0.0});
   }
 
   // The fault timeline runs *inside* the event loop: outages land between

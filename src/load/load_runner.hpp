@@ -44,7 +44,9 @@
 
 namespace spacecdn::load {
 
-/// Everything one load run needs beyond the world objects.
+/// Everything one load run needs beyond the world objects.  The replica
+/// prewarm is not configurable: every run seeds the paper's per-plane layout
+/// (4 copies in every 8th plane) before the first arrival.
 struct LoadConfig {
   TrafficConfig traffic = {};
   CapacityConfig capacity = {};
@@ -52,10 +54,6 @@ struct LoadConfig {
   Milliseconds horizon = Milliseconds::from_seconds(30.0);
   /// Router hop budget for tier (ii).
   std::uint32_t max_isl_hops = 10;
-  /// Replica prewarm (spacecdn::ContentPlacement): copies per selected
-  /// plane, every `placement_plane_stride`-th plane.  0 copies = cold start.
-  std::uint32_t copies_per_plane = 4;
-  std::uint32_t placement_plane_stride = 8;
   /// Primary seed; per-city streams derive from it via des::mix_seed.
   std::uint64_t seed = 42;
 

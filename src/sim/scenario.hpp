@@ -78,7 +78,7 @@ struct ScenarioSpec {
   double anycast_noise_ms = 6.0;
   std::uint64_t aim_seed = 20240318;
   /// Satellite cache fleet.
-  double fleet_capacity_mb = 150'000'000.0 / 1000.0;  // 150 TB per satellite
+  double fleet_capacity_mb = 150'000'000.0 / 1000.0;  // 150 GB per satellite
   cdn::CachePolicy cache_policy = cdn::CachePolicy::kLru;
   /// Fault schedule (mtbf <= 0 disables a class; see World::churn_config).
   double fault_horizon_hours = 24.0;
@@ -94,12 +94,7 @@ struct ScenarioSpec {
   double load_horizon_s = 30.0;  ///< arrival horizon of one load run
   std::string queue_discipline = "fifo";  ///< bottleneck queues: fifo or drr
 
-  // --- replica placement (spacecdn/placement_map; "baseline" keeps the
-  // published fixed k-copies layout and its checksums) ---
-  /// "baseline" (membership-naive re-place-everything), "jump"
-  /// (jump-consistent-hash, churn-minimal), or "jump-ec" (jump placement of
-  /// erasure-coded fragments).
-  std::string placement = "baseline";
+  // --- replica placement (spacecdn/placement_map) ---
   /// Replica spreading constraint of the jump policies: "plane"
   /// (pairwise-distinct orbital planes) or "phase" (distinct planes and
   /// distinct in-plane slots).

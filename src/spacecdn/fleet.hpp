@@ -16,9 +16,9 @@ namespace spacecdn::space {
 
 /// Fleet-wide cache configuration.
 struct FleetConfig {
-  /// Per-satellite storage (attached to the in-orbit server; paper cites the
-  /// HPE DL325's ~150 TB).
-  Megabytes capacity_per_satellite{150'000'000.0 / 1000.0};  // 150 TB in MB
+  /// Per-satellite storage attached to the in-orbit server.  The paper cites
+  /// the HPE DL325's ~150 TB; the model holds 1/1000 of that.
+  Megabytes capacity_per_satellite{150'000'000.0 / 1000.0};  // 150 GB in MB
   cdn::CachePolicy policy = cdn::CachePolicy::kLru;
 };
 

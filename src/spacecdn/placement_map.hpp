@@ -1,28 +1,29 @@
-// Jump-consistent-hash replica placement with churn-minimal rebalancing.
+// Replica placement: one engine, four layout policies, churn-minimal
+// rebalancing.
 //
-// ContentPlacement (placement.hpp) reproduces the paper's fixed
-// k-copies-per-plane layout; it is membership-unaware, so the constellation
-// has no principled answer to "where should this object live *now*" once
-// satellites fail, recover, or duty-cycle off.  This module is the
-// production placement engine ROADMAP item 2 calls for, in the spirit of
-// DAOS's jump-map placement:
+//  * kPerPlane -- the paper's fixed layout (section 4): Shell 1 has 72 planes
+//    of 22 satellites, so "with around 4 copies distributed within each
+//    plane, an object can be reachable within 5 hops".  Copies are spread
+//    evenly within every `plane_stride`-th plane with a per-object rotation.
+//    The layout is membership-unaware, like the paper's: a dark holder keeps
+//    its slot and the repair daemon defers it until the satellite returns.
 //
 //  * MembershipMap -- a versioned liveness bitmap over the satellite ids.
 //    Satellites enter and leave as faults and duty cycles flip them; every
 //    change bumps the version, so consumers can detect staleness in O(1).
 //
-//  * PlacementMap -- a deterministic object -> satellite map over a
-//    membership snapshot.  The jump policy assigns replica r of object o by
-//    jump_consistent_hash over the *full* id space and deterministically
-//    re-probes while the candidate is dead or violates the diversity
-//    constraint.  Because probe sequences are per-(object, replica) and
-//    independent of the live count, one membership change only moves the
-//    objects whose probe sequence actually crossed the flipped satellite:
-//    O(1/N) of the catalog, versus the naive mod-live-count baseline policy
-//    that reshuffles nearly everything (kBaseline below, kept as the
+//  * kJump -- a deterministic object -> satellite map over a membership
+//    snapshot, in the spirit of DAOS's jump-map placement.  Replica r of
+//    object o is assigned by jump_consistent_hash over the *full* id space,
+//    deterministically re-probing while the candidate is dead or violates
+//    the diversity constraint.  Because probe sequences are per-(object,
+//    replica) and independent of the live count, one membership change only
+//    moves the objects whose probe sequence actually crossed the flipped
+//    satellite: O(1/N) of the catalog, versus the naive mod-live-count
+//    kBaseline policy that reshuffles nearly everything (kept as the
 //    measurable strawman the ablation bench compares against).
 //
-//  * Orbit-aware diversity -- replicas are forced onto pairwise-distinct
+//  * Orbit-aware diversity -- jump replicas are forced onto pairwise-distinct
 //    orbital planes (kPlane) or distinct planes *and* distinct in-plane
 //    phase slots (kPhase), so a plane-level fault domain (faults/domains
 //    plane_domain) can never hold every copy of an object.
@@ -33,11 +34,12 @@
 //    diversity rule.  Storage cost drops from replicas x to (k+m)/k x; an
 //    object stays readable while any `data` fragments survive.
 //
-// RepairDaemon (resilience.hpp) consumes the map in delta mode: it keeps
-// the membership snapshot it last synced to and, on each audit, moves only
-// the (object, slot) pairs whose assignment differs between the synced and
-// the current snapshot -- the "bytes moved per churn cycle" metric of
-// bench/ablation_placement_map.
+// RepairDaemon (resilience.hpp) audits the map in delta mode: it keeps the
+// membership snapshot it last synced to and, on each audit, moves only the
+// (object, slot) pairs whose assignment differs between the synced and the
+// current snapshot -- the "bytes moved per churn cycle" metric of
+// bench/ablation_placement_map.  Under kPerPlane the two snapshots always
+// agree, so the audit reduces to restoring crash-lost copies.
 #pragma once
 
 #include <cstdint>
@@ -63,20 +65,20 @@ namespace spacecdn::space {
 enum class PlacementPolicy {
   /// Naive membership-aware recompute: replicas are evenly spaced over the
   /// *live* satellite list, so any liveness change renumbers nearly every
-  /// assignment.  This is the re-place-everything behaviour of the k-copies
-  /// RepairDaemon policy, kept as the ablation baseline.
+  /// assignment.  Kept as the re-place-everything ablation baseline.
   kBaseline,
   /// Jump consistent hashing with deterministic re-probing: one membership
   /// change moves O(1/N) of objects.
   kJump,
   /// Jump placement of erasure-coded fragments instead of whole replicas.
   kJumpEc,
+  /// The paper's fixed layout: `replicas` evenly spaced copies in every
+  /// `plane_stride`-th orbital plane.  Membership-unaware: holders never
+  /// move when satellites fail; dark holders wait for repair.
+  kPerPlane,
 };
 
 [[nodiscard]] std::string_view to_string(PlacementPolicy policy) noexcept;
-/// @throws spacecdn::ConfigError on an unknown name
-/// ("baseline"/"jump"/"jump-ec").
-[[nodiscard]] PlacementPolicy parse_placement_policy(const std::string& name);
 
 /// How strictly replicas must spread across the orbit geometry.
 enum class ReplicaDiversity {
@@ -122,8 +124,10 @@ class MembershipMap {
 /// Placement-map configuration.
 struct PlacementMapConfig {
   PlacementPolicy policy = PlacementPolicy::kJump;
-  /// Whole-object copies per object (kBaseline / kJump).
+  /// Whole-object copies per object (kBaseline / kJump), or per selected
+  /// plane (kPerPlane).
   std::uint32_t replicas = 4;
+  /// Replica spread of kJump / kJumpEc (ignored by kBaseline / kPerPlane).
   ReplicaDiversity diversity = ReplicaDiversity::kPlane;
   /// Fragment geometry of the kJumpEc mode (data + parity fragments, one
   /// satellite each).
@@ -131,6 +135,9 @@ struct PlacementMapConfig {
   /// Jump re-probe budget before the deterministic linear fallback kicks in
   /// (only reachable when diversity constraints leave very few candidates).
   std::uint32_t max_probe_attempts = 64;
+  /// kPerPlane only: place copies in every n-th global plane (1 = every
+  /// plane).  Cross-plane ISLs make sparser layouts viable.
+  std::uint32_t plane_stride = 1;
 };
 
 /// Deterministic object -> satellite placement over a versioned membership.
@@ -138,7 +145,9 @@ class PlacementMap {
  public:
   /// @throws spacecdn::ConfigError when the config asks for more placements
   /// than the constellation has planes (diversity would be unsatisfiable),
-  /// or for zero replicas / an invalid erasure profile.
+  /// or for zero replicas / an invalid erasure profile.  Under kPerPlane:
+  /// on more copies than satellites in a plane, or a plane stride outside
+  /// [1, plane_count].
   PlacementMap(const orbit::WalkerConstellation& constellation,
                PlacementMapConfig config);
 
@@ -148,8 +157,8 @@ class PlacementMap {
     return membership_;
   }
 
-  /// Placements per object: `replicas` whole copies, or data+parity
-  /// fragments under kJumpEc.
+  /// Placements per object: `replicas` whole copies, data+parity fragments
+  /// under kJumpEc, or `replicas` per selected plane under kPerPlane.
   [[nodiscard]] std::uint32_t placements_per_object() const noexcept;
 
   /// Live placements an object needs to stay readable: 1 whole copy, or
@@ -162,6 +171,8 @@ class PlacementMap {
 
   /// Holder satellites of `id` under the current membership, in placement
   /// order.  Deterministic: same membership version => identical result.
+  /// kPerPlane ignores membership: its holders are fixed per object, and a
+  /// holder may be dark.
   [[nodiscard]] std::vector<std::uint32_t> replicas(cdn::ContentId id) const;
 
   /// Holders under an explicit liveness snapshot (delta repair, what-if).
@@ -186,9 +197,9 @@ class PlacementMap {
   };
   [[nodiscard]] LoadSkew load_skew(std::uint64_t catalog_size) const;
 
-  /// Hop-distance statistics to the nearest live holder, over `probes`
+  /// Hop-distance statistics to the nearest holder, over `probes`
   /// random (satellite, object) pairs -- the hit-distance half of placement
-  /// quality (grid-hop metric shared with ContentPlacement::analyze).
+  /// quality.
   struct HopStats {
     double mean_hops = 0.0;
     std::uint32_t max_hops = 0;

@@ -55,6 +55,14 @@ std::string render_path(const std::vector<net::NodeId>& nodes) {
   return out;
 }
 
+/// Hands a finished request trace to the tracer.  A trace is only opened
+/// while a tracer is installed; testing both keeps the call well-formed when
+/// telemetry is compiled out and obs::tracer() is a constant null.
+void record_trace(obs::Tracer* tracer, std::optional<obs::TraceBuilder>& trace,
+                  bool failed) {
+  if (tracer != nullptr && trace) tracer->record(trace->finish(failed));
+}
+
 }  // namespace
 
 std::string_view to_string(FetchTier tier) noexcept {
@@ -91,16 +99,14 @@ std::optional<FetchResult> SpaceCdnRouter::fetch(const geo::GeoPoint& client,
   if (!serving) {
     static obs::CounterHandle no_coverage{"spacecdn_fetch_no_coverage_total"};
     no_coverage.inc();
-    if (trace) tracer->record(trace->finish(/*failed=*/true));
+    record_trace(tracer, trace, /*failed=*/true);
     return std::nullopt;
   }
 
   const auto result = attempt_from(*serving, client, country, item, rng, now,
                                    trace ? &*trace : nullptr, obs::kNoParent);
-  if (trace) {
-    if (result) trace->set_duration(trace->root(), result->rtt);
-    tracer->record(trace->finish(/*failed=*/!result.has_value()));
-  }
+  if (trace && result) trace->set_duration(trace->root(), result->rtt);
+  record_trace(tracer, trace, /*failed=*/!result.has_value());
   return result;
 }
 
@@ -488,8 +494,8 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
         trace->attr(attempt_span, "outcome", "served");
         trace->set_duration(attempt_span, served->rtt);
         trace->set_duration(trace->root(), out.total_latency);
-        tracer->record(trace->finish(/*failed=*/false));
       }
+      record_trace(tracer, trace, /*failed=*/false);
       return out;
     }
     // Timed out, lost, or no path: the client burns the attempt budget, then
@@ -538,10 +544,8 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
       m->counter("spacecdn_resilient_deadline_exceeded_total").inc();
     }
   }
-  if (trace) {
-    trace->set_duration(trace->root(), out.total_latency);
-    tracer->record(trace->finish(/*failed=*/true));
-  }
+  if (trace) trace->set_duration(trace->root(), out.total_latency);
+  record_trace(tracer, trace, /*failed=*/true);
   // A fetch that exhausted every attempt is exactly the incident the flight
   // recorder exists for: dump the requests leading up to it.
   if (auto* fr = obs::recorder()) fr->trip("fetch_resilient-exhausted", now);

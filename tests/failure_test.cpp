@@ -9,7 +9,7 @@
 #include "lsn/starlink.hpp"
 #include "spacecdn/fleet.hpp"
 #include "spacecdn/lookup.hpp"
-#include "spacecdn/placement.hpp"
+#include "spacecdn/placement_map.hpp"
 #include "spacecdn/router.hpp"
 #include "util/error.hpp"
 
@@ -115,9 +115,8 @@ TEST(Failures, PlacementRedundancyCoversLostReplicas) {
   // With 4 copies per plane, failing any single holder leaves the object
   // within a slightly larger but still small hop budget.
   const orbit::EphemerisSnapshot snapshot(shell1(), Milliseconds{0.0});
-  space::PlacementConfig pcfg;
-  pcfg.copies_per_plane = 4;
-  const space::ContentPlacement placement(shell1(), pcfg);
+  const space::PlacementMap placement(
+      shell1(), {.policy = space::PlacementPolicy::kPerPlane, .replicas = 4});
   space::SatelliteFleet fleet(shell1().size(),
                               space::FleetConfig{Megabytes{1000.0},
                                                  cdn::CachePolicy::kLru});

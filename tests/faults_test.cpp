@@ -14,7 +14,7 @@
 #include "lsn/starlink.hpp"
 #include "sim/world.hpp"
 #include "spacecdn/circuit_breaker.hpp"
-#include "spacecdn/placement.hpp"
+#include "spacecdn/placement_map.hpp"
 #include "spacecdn/resilience.hpp"
 #include "spacecdn/router.hpp"
 #include "util/error.hpp"
@@ -184,6 +184,39 @@ TEST_F(ChurnControllerTest, GatewayOutageIsTracked) {
   EXPECT_EQ(network_.ground().failed_gateway_count(), 0u);
 }
 
+TEST_F(ChurnControllerTest, PerPlaneHoldersIgnoreMembershipFlips) {
+  // The paper's fixed layout never re-routes: with membership mirrored from
+  // the fleet, a crash-then-repair cycle moves and evicts nothing, and the
+  // dark holder is deferred until it comes back.
+  space::PlacementMap placement(
+      network_.constellation(),
+      {.policy = space::PlacementPolicy::kPerPlane, .replicas = 2});
+  controller_.set_membership(&placement.membership());
+  const std::vector<cdn::ContentItem> catalog{
+      {1, Megabytes{2.0}, data::Region::kEurope},
+      {2, Megabytes{2.0}, data::Region::kAsia}};
+  for (const auto& item : catalog) placement.place(fleet_, item, Milliseconds{0.0});
+  space::RepairDaemon daemon(fleet_, placement, catalog, {});
+
+  const auto holders = placement.replicas(1);
+  const std::uint32_t victim = holders.front();
+  controller_.apply(event(Component::kCacheNode, Transition::kFail, victim));
+  EXPECT_FALSE(placement.membership().live(victim));
+  EXPECT_EQ(placement.replicas(1), holders);  // membership-unaware
+  const auto while_down = daemon.run_once(Milliseconds{10.0});
+  EXPECT_GT(while_down.unrepairable, 0u);
+  EXPECT_EQ(while_down.moved, 0u);
+  EXPECT_EQ(while_down.evicted_stale, 0u);
+
+  controller_.apply(event(Component::kCacheNode, Transition::kRecover, victim));
+  const auto repaired = daemon.run_once(Milliseconds{20.0});
+  EXPECT_GT(repaired.re_replicated, 0u);
+  EXPECT_EQ(repaired.unrepairable, 0u);
+  EXPECT_EQ(repaired.moved, 0u);
+  EXPECT_EQ(repaired.evicted_stale, 0u);
+  EXPECT_TRUE(fleet_.holds(victim, 1));
+}
+
 TEST_F(ChurnControllerTest, CacheCrashDropsContents) {
   const cdn::ContentItem obj{2, Megabytes{1.0}, data::Region::kEurope};
   ASSERT_TRUE(fleet_.cache(8).insert(obj, Milliseconds{0.0}));
@@ -202,9 +235,8 @@ TEST(RepairDaemon, RestoresReplicasFromSurvivingHolders) {
   const orbit::WalkerConstellation shell(orbit::test_shell());
   space::SatelliteFleet fleet(shell.size(), space::FleetConfig{Megabytes{1000.0},
                                                                cdn::CachePolicy::kLru});
-  space::PlacementConfig pcfg;
-  pcfg.copies_per_plane = 2;
-  const space::ContentPlacement placement(shell, pcfg);
+  const space::PlacementMap placement(
+      shell, {.policy = space::PlacementPolicy::kPerPlane, .replicas = 2});
   const std::vector<cdn::ContentItem> catalog{
       {1, Megabytes{2.0}, data::Region::kEurope},
       {2, Megabytes{2.0}, data::Region::kAsia}};
@@ -239,10 +271,10 @@ TEST(RepairDaemon, FallsBackToGroundWhenAllSpaceCopiesDie) {
   const orbit::WalkerConstellation shell(orbit::test_shell());
   space::SatelliteFleet fleet(shell.size(), space::FleetConfig{Megabytes{1000.0},
                                                                cdn::CachePolicy::kLru});
-  space::PlacementConfig pcfg;
-  pcfg.copies_per_plane = 1;
-  pcfg.plane_stride = 8;  // a single replica in the whole test shell
-  const space::ContentPlacement placement(shell, pcfg);
+  // A single replica in the whole test shell: one copy in every 8th plane.
+  const space::PlacementMap placement(
+      shell,
+      {.policy = space::PlacementPolicy::kPerPlane, .replicas = 1, .plane_stride = 8});
   const std::vector<cdn::ContentItem> catalog{{7, Megabytes{2.0}, data::Region::kEurope}};
   placement.place(fleet, catalog.front(), Milliseconds{0.0});
 

@@ -11,7 +11,7 @@
 #include "measurement/web.hpp"
 #include "sim/world.hpp"
 #include "spacecdn/duty_cycle.hpp"
-#include "spacecdn/placement.hpp"
+#include "spacecdn/placement_map.hpp"
 #include "spacecdn/router.hpp"
 
 namespace spacecdn {
@@ -103,9 +103,8 @@ TEST(EndToEnd, SpaceCdnWithinFiveHopsIsCompetitive) {
   const orbit::WalkerConstellation& cons = net.constellation();
   space::SatelliteFleet fleet(cons.size(), space::FleetConfig{Megabytes{1e6},
                                                               cdn::CachePolicy::kLru});
-  space::PlacementConfig pcfg;
-  pcfg.copies_per_plane = 4;
-  const space::ContentPlacement placement(cons, pcfg);
+  const space::PlacementMap placement(
+      cons, {.policy = space::PlacementPolicy::kPerPlane, .replicas = 4});
   des::Rng rng(1);
 
   // Place one object and fetch it from many cities.

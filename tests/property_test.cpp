@@ -12,7 +12,7 @@
 #include "geo/visibility.hpp"
 #include "net/graph.hpp"
 #include "orbit/walker.hpp"
-#include "spacecdn/placement.hpp"
+#include "spacecdn/placement_map.hpp"
 
 namespace spacecdn {
 namespace {
@@ -251,9 +251,8 @@ class PlacementProperty : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(PlacementProperty, HopBoundShrinksWithCopies) {
   const std::uint32_t copies = GetParam();
   const orbit::WalkerConstellation c(orbit::starlink_shell1());
-  space::PlacementConfig cfg;
-  cfg.copies_per_plane = copies;
-  const space::ContentPlacement placement(c, cfg);
+  const space::PlacementMap placement(
+      c, {.policy = space::PlacementPolicy::kPerPlane, .replicas = copies});
   des::Rng rng(copies);
   const auto stats = placement.analyze(1000, 200, rng);
   // Within a plane of 22 satellites and k evenly spaced copies, the

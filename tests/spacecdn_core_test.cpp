@@ -10,7 +10,7 @@
 #include "spacecdn/duty_cycle.hpp"
 #include "spacecdn/fleet.hpp"
 #include "spacecdn/lookup.hpp"
-#include "spacecdn/placement.hpp"
+#include "spacecdn/placement_map.hpp"
 #include "spacecdn/router.hpp"
 #include "spacecdn/striping.hpp"
 #include "util/error.hpp"
@@ -33,11 +33,12 @@ FleetConfig small_fleet_config() {
 }
 
 TEST(Fleet, SizingMatchesPaperStorageClaim) {
-  // Paper section 5: ~150 TB per satellite; 6,000 satellites -> >900 PB.
+  // Paper section 5 cites ~150 TB per satellite; the model default holds
+  // 1/1000 of that.
   const FleetConfig cfg;
-  EXPECT_NEAR(cfg.capacity_per_satellite.value(), 150e6 / 1000.0, 1.0);  // 150 TB in MB
+  EXPECT_NEAR(cfg.capacity_per_satellite.value(), 150e6 / 1000.0, 1.0);  // 150 GB in MB
   SatelliteFleet fleet(1584, cfg);
-  EXPECT_GT(fleet.total_capacity().value(), 2.3e8);  // > 237 PB for Shell 1 alone
+  EXPECT_GT(fleet.total_capacity().value(), 2.3e8);  // > 230 TB for Shell 1 alone
 }
 
 TEST(Fleet, EnableMaskControlsService) {
@@ -71,13 +72,17 @@ TEST(Fleet, AggregateStats) {
   EXPECT_EQ(stats.insertions, 1u);
 }
 
+PlacementMapConfig per_plane(std::uint32_t copies, std::uint32_t stride = 1) {
+  return {.policy = PlacementPolicy::kPerPlane, .replicas = copies,
+          .plane_stride = stride};
+}
+
 TEST(Placement, CopiesPerPlaneSpacing) {
   const orbit::WalkerConstellation c(orbit::starlink_shell1());
-  PlacementConfig cfg;
-  cfg.copies_per_plane = 4;
-  const ContentPlacement placement(c, cfg);
+  const PlacementMap placement(c, per_plane(4));
   const auto replicas = placement.replicas(123);
   EXPECT_EQ(replicas.size(), 72u * 4u);
+  EXPECT_EQ(placement.placements_per_object(), 72u * 4u);
   // Within each plane, replicas are evenly spaced (22/4 -> gaps of 5-6).
   std::vector<std::uint32_t> plane0;
   for (std::uint32_t sat : replicas) {
@@ -94,13 +99,13 @@ TEST(Placement, CopiesPerPlaneSpacing) {
 
 TEST(Placement, DifferentObjectsDifferentSatellites) {
   const orbit::WalkerConstellation c(orbit::starlink_shell1());
-  const ContentPlacement placement(c, {});
+  const PlacementMap placement(c, per_plane(4));
   EXPECT_NE(placement.replicas(1), placement.replicas(2));
 }
 
 TEST(Placement, GridHopDistanceIsMetric) {
   const orbit::WalkerConstellation c(orbit::starlink_shell1());
-  const ContentPlacement placement(c, {});
+  const PlacementMap placement(c, per_plane(4));
   EXPECT_EQ(placement.grid_hop_distance(5, 5), 0u);
   EXPECT_EQ(placement.grid_hop_distance(5, 6), 1u);
   // Symmetry and wrap-around: slot 0 and slot 21 in a plane are adjacent.
@@ -113,9 +118,7 @@ TEST(Placement, PaperClaimFourCopiesWithinFiveHops) {
   // object can be reachable within 5 hops, even within a single orbital
   // plane".
   const orbit::WalkerConstellation c(orbit::starlink_shell1());
-  PlacementConfig cfg;
-  cfg.copies_per_plane = 4;
-  const ContentPlacement placement(c, cfg);
+  const PlacementMap placement(c, per_plane(4));
   des::Rng rng(1);
   const auto stats = placement.analyze(2000, 1000, rng);
   EXPECT_LE(stats.max_hops, 5u);
@@ -127,9 +130,7 @@ TEST(Placement, MoreCopiesFewerHops) {
   des::Rng rng(2);
   double prev_mean = 1e9;
   for (std::uint32_t k : {1u, 2u, 4u, 8u}) {
-    PlacementConfig cfg;
-    cfg.copies_per_plane = k;
-    const auto stats = ContentPlacement(c, cfg).analyze(1000, 500, rng);
+    const auto stats = PlacementMap(c, per_plane(k)).analyze(1000, 500, rng);
     EXPECT_LT(stats.mean_hops, prev_mean);
     prev_mean = stats.mean_hops;
   }
@@ -138,7 +139,7 @@ TEST(Placement, MoreCopiesFewerHops) {
 TEST(Placement, PlaceInsertsIntoFleet) {
   const orbit::WalkerConstellation c(orbit::starlink_shell1());
   SatelliteFleet fleet(c.size(), small_fleet_config());
-  const ContentPlacement placement(c, {});
+  const PlacementMap placement(c, per_plane(4));
   placement.place(fleet, item(42), kNow);
   for (std::uint32_t sat : placement.replicas(42)) {
     EXPECT_TRUE(fleet.cache(sat).contains(42));
@@ -147,16 +148,15 @@ TEST(Placement, PlaceInsertsIntoFleet) {
 
 TEST(Placement, RejectsBadConfig) {
   const orbit::WalkerConstellation c(orbit::starlink_shell1());
-  PlacementConfig cfg;
-  cfg.copies_per_plane = 0;
-  EXPECT_THROW(ContentPlacement(c, cfg), ConfigError);
-  cfg.copies_per_plane = 23;  // more than satellites per plane
-  EXPECT_THROW(ContentPlacement(c, cfg), ConfigError);
-  cfg = PlacementConfig{};
+  EXPECT_THROW(PlacementMap(c, per_plane(0)), ConfigError);
+  // More copies than satellites per plane.
+  EXPECT_THROW(PlacementMap(c, per_plane(23)), ConfigError);
+  EXPECT_THROW(PlacementMap(c, per_plane(4, 0)), ConfigError);
   // Regression: a stride past the plane count used to be accepted silently
   // and collapsed every replica onto plane 0 (stride % planes wraps).
-  cfg.plane_stride = c.plane_count() + 1;
-  EXPECT_THROW(ContentPlacement(c, cfg), ConfigError);
+  EXPECT_THROW(PlacementMap(c, per_plane(4, c.plane_count() + 1)), ConfigError);
+  // Unlike the jump policies, more placements than planes is fine.
+  EXPECT_NO_THROW(PlacementMap(c, per_plane(22)));
 }
 
 TEST(Lookup, FindsReplicaAtMinimalHops) {
