@@ -8,12 +8,12 @@
 //
 //   disabled  -- no sinks installed; the zero-cost default every simulation
 //                runs with.  This is the baseline.
-//   metrics   -- MetricsRegistry + FlightRecorder installed, plus a
-//                TimeSeriesRecorder sampling registry counters every 256
-//                fetches: the "always-on" aggregate-telemetry deployment.
+//   metrics   -- MetricsRegistry installed, plus a TimeSeriesRecorder
+//                sampling registry counters every 256 fetches: the
+//                "always-on" aggregate-telemetry deployment.
 //                Gate: < --limit (2%) overhead versus disabled.
 //   full      -- everything on (metrics, tracer building a span tree per
-//                fetch, flight recorder, wall-clock profiler).  Reported for
+//                fetch, wall-clock profiler).  Reported for
 //                information only: tracing/profiling are per-capture
 //                diagnostic modes, priced here so nobody enables them
 //                expecting them to be free.
@@ -136,10 +136,8 @@ int main(int argc, char** argv) {
   enum Mode { kDisabled = 0, kMetrics = 1, kFull = 2 };
   const char* mode_names[] = {"disabled", "metrics", "full"};
   obs::MetricsRegistry registry;
-  obs::FlightRecorder recorder;
   obs::Tracer tracer;
   obs::Profiler profiler;
-  tracer.set_recorder(&recorder);
 
   double best[3] = {1e300, 1e300, 1e300};
   double checksum[3] = {0.0, 0.0, 0.0};
@@ -153,7 +151,6 @@ int main(int argc, char** argv) {
       std::optional<obs::TimeSeriesRecorder> series;
       if (mode >= kMetrics) {
         sinks.metrics = &registry;
-        sinks.recorder = &recorder;
         series.emplace(obs::TimeSeriesConfig{
             Milliseconds{static_cast<double>(kSeriesTickEvery)}});
         series->track_counter(registry, "spacecdn_fetch_served_total",

@@ -28,9 +28,8 @@ Cache::Cache(Megabytes capacity) : capacity_(capacity) {
 Cache::~Cache() = default;
 
 void Cache::set_telemetry_tier(std::string_view tier) {
-  telemetry_tier_ = tier;
   telemetry_ =
-      telemetry_tier_.empty() ? nullptr : std::make_unique<CacheTelemetry>(telemetry_tier_);
+      tier.empty() ? nullptr : std::make_unique<CacheTelemetry>(std::string(tier));
 }
 
 void Cache::note_hit() {

@@ -73,15 +73,11 @@ class Cache {
   [[nodiscard]] Megabytes capacity() const noexcept { return capacity_; }
   [[nodiscard]] Megabytes used() const noexcept { return used_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = CacheStats{}; }
 
   /// Tier label under which this cache reports to the telemetry registry
   /// (`spacecdn_cache_*_total{tier="..."}`).  Empty (the default) keeps the
   /// cache out of the registry -- local per-instance stats_ always accrue.
   void set_telemetry_tier(std::string_view tier);
-  [[nodiscard]] const std::string& telemetry_tier() const noexcept {
-    return telemetry_tier_;
-  }
 
  protected:
   // Policy implementations report through these so the registry sees every
@@ -97,7 +93,6 @@ class Cache {
   CacheStats stats_;
 
  private:
-  std::string telemetry_tier_;
   std::unique_ptr<CacheTelemetry> telemetry_;
 };
 

@@ -104,31 +104,15 @@ double LinkQueue::utilization(Milliseconds horizon) const noexcept {
 }
 
 AdmissionController::AdmissionController(std::uint32_t satellite_count,
-                                         std::size_t max_concurrent,
-                                         std::size_t reject_storm_threshold)
-    : max_concurrent_(max_concurrent),
-      active_(satellite_count, 0),
-      reject_storm_threshold_(reject_storm_threshold) {}
+                                         std::size_t max_concurrent)
+    : max_concurrent_(max_concurrent), active_(satellite_count, 0) {}
 
-bool AdmissionController::try_admit(std::uint32_t satellite, Milliseconds now) {
+bool AdmissionController::try_admit(std::uint32_t satellite) {
   SPACECDN_EXPECT(satellite < active_.size(), "admission: satellite out of range");
   if (max_concurrent_ != 0 && active_[satellite] >= max_concurrent_) {
     ++rejected_;
     static obs::CounterHandle rejected_total{"spacecdn_admission_rejected_total"};
     rejected_total.inc();
-    if (reject_storm_threshold_ != 0) {
-      if (now - storm_window_start_ >= Milliseconds{1'000.0}) {
-        storm_window_start_ = now;
-        storm_window_rejects_ = 0;
-      }
-      // Trip exactly once per window, at the crossing.
-      if (++storm_window_rejects_ == reject_storm_threshold_) {
-        ++storms_;
-        if (auto* recorder = obs::recorder()) {
-          recorder->trip("admission-reject-storm", now);
-        }
-      }
-    }
     if (reject_hook_) reject_hook_(satellite, active_[satellite]);
     return false;
   }

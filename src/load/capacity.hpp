@@ -49,9 +49,6 @@ struct CapacityConfig {
   /// Concurrent transfers one satellite serves before admission rejects
   /// (onboard radio scheduler slots); 0 disables admission control.
   std::size_t max_transfers_per_satellite = 64;
-  /// Rejections within one rolling second that trip the flight recorder
-  /// ("admission-reject-storm"); 0 disables storm detection.
-  std::size_t reject_storm_threshold = 256;
 
   /// Scales every rate by `k` (the `link-capacity` scenario knob).
   [[nodiscard]] CapacityConfig scaled(double k) const noexcept;
@@ -130,23 +127,17 @@ class LinkQueue {
 /// bench's graceful-degradation claim).  The reject hook feeds rejections
 /// into the degradation policy (load/degradation.hpp: hot-satellite marks,
 /// shed-to-ground); independent of any hook, every rejection lands in
-/// obs::metrics() and a rejection storm (reject_storm_threshold drops
-/// inside one rolling second) trips the flight recorder.
+/// obs::metrics().
 class AdmissionController {
  public:
   using RejectHook = std::function<void(std::uint32_t satellite, std::size_t active)>;
 
-  /// `max_concurrent` == 0 disables the cap (everything admits);
-  /// `reject_storm_threshold` == 0 disables storm detection.
-  AdmissionController(std::uint32_t satellite_count, std::size_t max_concurrent,
-                      std::size_t reject_storm_threshold = 0);
+  /// `max_concurrent` == 0 disables the cap (everything admits).
+  AdmissionController(std::uint32_t satellite_count, std::size_t max_concurrent);
 
   /// Admits a transfer on `satellite`, or counts a rejection and fires the
-  /// hook.  `now` timestamps storm detection and the flight-recorder trip
-  /// (callers outside a simulation may leave it at zero).  Every successful
-  /// try_admit must be paired with release().
-  [[nodiscard]] bool try_admit(std::uint32_t satellite,
-                               Milliseconds now = Milliseconds{0.0});
+  /// hook.  Every successful try_admit must be paired with release().
+  [[nodiscard]] bool try_admit(std::uint32_t satellite);
   void release(std::uint32_t satellite);
 
   void set_reject_hook(RejectHook hook) { reject_hook_ = std::move(hook); }
@@ -155,8 +146,6 @@ class AdmissionController {
   [[nodiscard]] std::size_t peak_active() const noexcept { return peak_active_; }
   [[nodiscard]] std::uint64_t admitted() const noexcept { return admitted_; }
   [[nodiscard]] std::uint64_t rejected() const noexcept { return rejected_; }
-  /// Reject storms detected (threshold crossings, at most one per window).
-  [[nodiscard]] std::uint64_t storms() const noexcept { return storms_; }
   [[nodiscard]] std::size_t max_concurrent() const noexcept { return max_concurrent_; }
 
  private:
@@ -166,11 +155,6 @@ class AdmissionController {
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;
   RejectHook reject_hook_;
-  /// Rolling one-second reject window for storm detection.
-  std::size_t reject_storm_threshold_;
-  Milliseconds storm_window_start_{0.0};
-  std::size_t storm_window_rejects_ = 0;
-  std::uint64_t storms_ = 0;
 };
 
 }  // namespace spacecdn::load

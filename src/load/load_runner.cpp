@@ -25,7 +25,8 @@ space::RouterConfig router_config(const LoadConfig& config) {
   return rc;
 }
 
-/// Deadline misses inside one rolling second that trip the flight recorder.
+/// Deadline misses inside one rolling second that mark a spike on the
+/// timeline (kind "flight-recorder.trip", kept for the JSONL format).
 constexpr std::size_t kMissSpikeThreshold = 64;
 
 /// Directed ISL link key: content flows from -> to.
@@ -43,8 +44,7 @@ LoadRunner::LoadRunner(lsn::StarlinkNetwork& network, space::SatelliteFleet& fle
       config_(std::move(config)),
       traffic_(std::move(clients), config_.traffic),
       router_(network, fleet, ground_cdn, router_config(config_)),
-      admission_(fleet.size(), config_.capacity.max_transfers_per_satellite,
-                 config_.capacity.reject_storm_threshold),
+      admission_(fleet.size(), config_.capacity.max_transfers_per_satellite),
       downlink_queues_(fleet.size()) {
   if (!config_.fault_schedule.empty()) churn_.emplace(network, fleet);
   if (config_.degradation.enabled) {
@@ -355,7 +355,7 @@ void LoadRunner::handle_arrival(std::size_t client_index) {
   }
 
   const std::uint32_t serving = fetch->serving_satellite;
-  if (!admission_.try_admit(serving, arrival)) {
+  if (!admission_.try_admit(serving)) {
     // Shed to ground: one bent-pipe-only re-fetch.  The rejection above just
     // marked `serving` hot, so the serving filter steers the re-fetch to an
     // alternate satellite whose downlink still has slots.
@@ -366,7 +366,7 @@ void LoadRunner::handle_arrival(std::size_t client_index) {
                                                 item, rng, arrival);
       router_.set_ground_only(false);
       if (shed.success && shed.served->serving_satellite != serving &&
-          admission_.try_admit(shed.served->serving_satellite, arrival)) {
+          admission_.try_admit(shed.served->serving_satellite)) {
         ++report_.shed_to_ground;
         ++inflight_;
         if (series_) ++window_.shed;
@@ -512,17 +512,15 @@ void LoadRunner::finish_transfer(std::size_t client_index, space::FetchTier tier
 }
 
 void LoadRunner::note_deadline_miss(Milliseconds now) {
+  if (!timeline_enabled_) return;  // the window only feeds timeline marks
   if (now - miss_window_start_ >= Milliseconds{1'000.0}) {
     miss_window_start_ = now;
     miss_window_count_ = 0;
   }
-  // Trip once per window, at the crossing.
+  // Mark once per window, at the crossing.
   if (++miss_window_count_ == kMissSpikeThreshold) {
-    if (auto* recorder = obs::recorder()) recorder->trip("deadline-miss-spike", now);
-    if (timeline_enabled_) {
-      timeline_.record(now, "flight-recorder.trip", "deadline-miss-spike", {},
-                       static_cast<double>(kMissSpikeThreshold));
-    }
+    timeline_.record(now, "flight-recorder.trip", "deadline-miss-spike", {},
+                     static_cast<double>(kMissSpikeThreshold));
   }
 }
 

@@ -84,7 +84,8 @@ struct LoadConfig {
   /// Sampling window of the windowed time series; 0 disables the recorder.
   Milliseconds series_interval{0.0};
   /// Record the unified incident timeline (fault events, breaker
-  /// transitions, degradation hot-marks/sheds, recorder trips, SLO alerts).
+  /// transitions, degradation hot-marks/sheds, deadline-miss spikes, SLO
+  /// alerts).
   bool timeline = false;
   /// Burn-rate alerting policy.  The tracker is engaged whenever the series
   /// recorder or the timeline is on: with a request deadline, "good" means
@@ -213,8 +214,8 @@ class LoadRunner {
                        Milliseconds first_byte, Milliseconds extra_wait,
                        Milliseconds arrival, std::uint32_t serving, Megabytes volume,
                        Milliseconds queue_wait);
-  /// Rolling-window deadline-miss bookkeeping; a spike trips the flight
-  /// recorder once per window.
+  /// Rolling-window deadline-miss bookkeeping; a spike is marked on the
+  /// timeline once per window.
   void note_deadline_miss(Milliseconds now);
 
   /// Stage 1 of run(): prewarms placement, installs the fault schedule and
@@ -243,7 +244,7 @@ class LoadRunner {
   std::optional<DegradationPolicy> degradation_;
   /// The caller's reject hook; chained after the degradation policy's.
   AdmissionController::RejectHook user_reject_hook_;
-  /// Rolling one-second deadline-miss window (flight-recorder spike trips).
+  /// Rolling one-second deadline-miss window (timeline spike marks).
   Milliseconds miss_window_start_{0.0};
   std::size_t miss_window_count_ = 0;
   std::vector<des::Rng> city_rng_;

@@ -43,7 +43,6 @@ class SsspTree {
   [[nodiscard]] const std::vector<Milliseconds>& distances() const noexcept {
     return distances_;
   }
-  [[nodiscard]] const std::vector<NodeId>& parents() const noexcept { return parents_; }
 
   /// Hop count of the shortest path source -> target; 0 for the source
   /// itself.  @throws spacecdn::ConfigError when target is unreachable.
@@ -94,7 +93,6 @@ class RoutingCache {
 
   [[nodiscard]] std::uint64_t epoch() const noexcept;
   [[nodiscard]] std::size_t cached_sources() const;
-  [[nodiscard]] std::size_t max_sources() const noexcept { return max_sources_; }
   [[nodiscard]] RoutingCacheStats stats() const;
 
  private:

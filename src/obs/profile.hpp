@@ -26,7 +26,6 @@ class Profiler {
  public:
   void record(const char* name, std::uint64_t nanoseconds);
 
-  [[nodiscard]] std::size_t section_count() const noexcept { return sections_.size(); }
   [[nodiscard]] std::uint64_t calls(const std::string& name) const;
   /// Per-name duration summary in nanoseconds (zero-count when unknown).
   [[nodiscard]] const des::OnlineSummary& section(const std::string& name) const;

@@ -8,10 +8,4 @@ TelemetrySinks set_telemetry(const TelemetrySinks& sinks) noexcept {
   return previous;
 }
 
-TelemetrySession::TelemetrySession(FlightRecorderConfig recorder_config)
-    : recorder_(recorder_config),
-      scope_(TelemetrySinks{&metrics_, &tracer_, &recorder_, &profiler_}) {
-  tracer_.set_recorder(&recorder_);
-}
-
 }  // namespace spacecdn::obs

@@ -12,7 +12,6 @@
 // TelemetrySession.
 #pragma once
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -23,7 +22,6 @@ namespace spacecdn::obs {
 struct TelemetrySinks {
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
-  FlightRecorder* recorder = nullptr;
   Profiler* profiler = nullptr;
 };
 
@@ -40,12 +38,10 @@ TelemetrySinks set_telemetry(const TelemetrySinks& sinks) noexcept;
 #ifndef SPACECDN_NO_TELEMETRY
 [[nodiscard]] inline MetricsRegistry* metrics() noexcept { return detail::g_sinks.metrics; }
 [[nodiscard]] inline Tracer* tracer() noexcept { return detail::g_sinks.tracer; }
-[[nodiscard]] inline FlightRecorder* recorder() noexcept { return detail::g_sinks.recorder; }
 [[nodiscard]] inline Profiler* profiler() noexcept { return detail::g_sinks.profiler; }
 #else
 [[nodiscard]] constexpr MetricsRegistry* metrics() noexcept { return nullptr; }
 [[nodiscard]] constexpr Tracer* tracer() noexcept { return nullptr; }
-[[nodiscard]] constexpr FlightRecorder* recorder() noexcept { return nullptr; }
 [[nodiscard]] constexpr Profiler* profiler() noexcept { return nullptr; }
 #endif
 
@@ -133,20 +129,17 @@ class TelemetryScope {
 /// benches and examples use to switch telemetry on.
 class TelemetrySession {
  public:
-  explicit TelemetrySession(FlightRecorderConfig recorder_config = {});
-  ~TelemetrySession() = default;
+  TelemetrySession() = default;
 
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] Tracer& tracer() noexcept { return tracer_; }
-  [[nodiscard]] FlightRecorder& recorder() noexcept { return recorder_; }
   [[nodiscard]] Profiler& profiler() noexcept { return profiler_; }
 
  private:
   MetricsRegistry metrics_;
   Tracer tracer_;
-  FlightRecorder recorder_;
   Profiler profiler_;
-  TelemetryScope scope_;
+  TelemetryScope scope_{TelemetrySinks{&metrics_, &tracer_, &profiler_}};
 };
 
 }  // namespace spacecdn::obs

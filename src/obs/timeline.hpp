@@ -2,7 +2,7 @@
 //
 // Every subsystem that does something operationally interesting -- fault
 // injection firing, a circuit breaker opening, degradation hot-marking a
-// satellite, the flight recorder tripping, an SLO burn-rate alert paging --
+// satellite, a deadline-miss spike, an SLO burn-rate alert paging --
 // records a TimelineEvent here.  The result is a single JSONL stream that
 // explains an incident after the fact: injection -> breaker-open -> shed ->
 // recovery, all stamped in simulation time.  tools/render_timeline.py turns
@@ -36,8 +36,10 @@ inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
 /// One timeline entry.  `kind` is a dotted category string -- the producers
 /// use "fault.fail", "fault.recover", "breaker.open", "breaker.half-open",
 /// "breaker.closed", "degradation.hot-mark", "degradation.shed",
-/// "flight-recorder.trip", "slo.alert-fire", "slo.alert-resolve",
-/// "surge.begin", "surge.end" -- so consumers can filter by prefix.
+/// "flight-recorder.trip" (a deadline-miss spike; the kind predates the
+/// spike's own name and stays for format stability), "slo.alert-fire",
+/// "slo.alert-resolve", "surge.begin", "surge.end" -- so consumers can
+/// filter by prefix.
 struct TimelineEvent {
   Milliseconds at{0.0};
   std::string kind;

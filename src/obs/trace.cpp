@@ -5,7 +5,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/flight_recorder.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -117,7 +116,6 @@ void Tracer::record(Trace trace) {
     write_jsonl(*jsonl_, trace);
     *jsonl_ << "\n";
   }
-  if (recorder_ != nullptr) recorder_->push(trace);
   if (retain_ > 0) {
     if (retained_.size() == retain_) retained_.erase(retained_.begin());
     retained_.push_back(std::move(trace));

@@ -9,8 +9,8 @@
 // (the acceptance check ablation_churn --trace-out verifies).
 //
 // Finished traces go to a Tracer, which streams them as JSONL (one trace
-// per line) and feeds the flight-recorder ring; render_waterfall() draws a
-// single trace as an ASCII waterfall for humans.
+// per line) and optionally retains the most recent ones in memory;
+// render_waterfall() draws a single trace as an ASCII waterfall for humans.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +22,6 @@
 #include "util/units.hpp"
 
 namespace spacecdn::obs {
-
-class FlightRecorder;
 
 inline constexpr std::uint32_t kNoParent = 0xffffffffu;
 
@@ -80,14 +78,12 @@ class TraceBuilder {
   Trace trace_;
 };
 
-/// Collects finished traces: optional JSONL stream, optional flight-recorder
-/// feed, optional bounded in-memory retention (for tests and examples).
+/// Collects finished traces: optional JSONL stream, optional bounded
+/// in-memory retention (for tests and examples).
 class Tracer {
  public:
   /// Traces are appended to `os` as JSON-Lines; pass nullptr to detach.
   void set_jsonl_sink(std::ostream* os) noexcept { jsonl_ = os; }
-  /// Finished traces are also pushed into `recorder`'s ring.
-  void set_recorder(FlightRecorder* recorder) noexcept { recorder_ = recorder; }
   /// Keeps the most recent `n` traces in memory (0 disables retention).
   void set_retain(std::size_t n);
 
@@ -100,7 +96,6 @@ class Tracer {
 
  private:
   std::ostream* jsonl_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
   std::size_t retain_ = 0;
   std::uint64_t recorded_ = 0;
   std::uint64_t next_id_ = 1;

@@ -93,10 +93,6 @@ class Runner {
   [[nodiscard]] double get(const std::string& key, double fallback) const;
   [[nodiscard]] bool get(const std::string& key, bool fallback) const;
 
-  /// Whether any telemetry sink (--metrics-out/--trace-out/--profile) is
-  /// installed for this run.
-  [[nodiscard]] bool telemetry_active() const noexcept { return session_.has_value(); }
-
   /// The run's determinism checksum; benches feed every merged sample.
   [[nodiscard]] des::Fnv1aChecksum& checksum() noexcept { return checksum_; }
 

@@ -215,15 +215,14 @@ RepairReport RepairDaemon::run_once(Milliseconds now) {
     m->counter("spacecdn_repair_ground_refills_total").inc(report.ground_refills);
     m->counter("spacecdn_repair_unrepairable_total").inc(report.unrepairable);
     m->counter("spacecdn_repair_moved_total").inc(report.moved);
-    m->counter("spacecdn_repair_bytes_moved_mb_total").inc(report.bytes_moved_mb);
+    // Fractional megabytes: a gauge, since Counter::inc would truncate them.
+    // Added per scan, so the registry sums every daemon it serves exactly as
+    // the counters above do (one daemon: equal to totals().bytes_moved_mb).
+    // MetricsRegistry::merge folds gauges with set(), so merging per-worker
+    // registries must sum this family instead of keeping the last value.
+    m->gauge("spacecdn_repair_bytes_moved_mb").add(report.bytes_moved_mb);
     m->gauge("spacecdn_repair_open_crashes").set(static_cast<double>(open_crashes_.size()));
   }
-  // An audit that found replica slots it cannot repair is a tripped
-  // invariant: snapshot the requests that led up to it.
-  if (report.unrepairable > 0) {
-    if (auto* fr = obs::recorder()) fr->trip("repair-audit-unrepairable", now);
-  }
-
   // Close every crash whose satellite is back up and fully re-replicated.
   std::erase_if(open_crashes_, [&](const std::pair<std::uint32_t, Milliseconds>& crash) {
     if (!fully_replicated_on(crash.first)) return false;

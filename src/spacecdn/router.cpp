@@ -546,9 +546,6 @@ ResilientFetchResult SpaceCdnRouter::fetch_resilient(const geo::GeoPoint& client
   }
   if (trace) trace->set_duration(trace->root(), out.total_latency);
   record_trace(tracer, trace, /*failed=*/true);
-  // A fetch that exhausted every attempt is exactly the incident the flight
-  // recorder exists for: dump the requests leading up to it.
-  if (auto* fr = obs::recorder()) fr->trip("fetch_resilient-exhausted", now);
   return out;
 }
 

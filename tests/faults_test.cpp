@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "faults/schedule.hpp"
 #include "geo/distance.hpp"
 #include "lsn/starlink.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/world.hpp"
 #include "spacecdn/circuit_breaker.hpp"
 #include "spacecdn/placement_map.hpp"
@@ -266,6 +268,37 @@ TEST(RepairDaemon, RestoresReplicasFromSurvivingHolders) {
   ASSERT_EQ(daemon.time_to_repair().size(), 1u);
   EXPECT_DOUBLE_EQ(daemon.time_to_repair().mean(), 490.0);  // crash at 10, fixed at 500
 }
+
+#ifndef SPACECDN_NO_TELEMETRY
+TEST(RepairDaemon, ExportsFractionalBytesMovedExactly) {
+  const orbit::WalkerConstellation shell(orbit::test_shell());
+  space::SatelliteFleet fleet(shell.size(), space::FleetConfig{Megabytes{1000.0},
+                                                               cdn::CachePolicy::kLru});
+  const space::PlacementMap placement(
+      shell, {.policy = space::PlacementPolicy::kPerPlane, .replicas = 2});
+  // Fractional sizes: every scan below installs a non-integer megabyte total.
+  const std::vector<cdn::ContentItem> catalog{
+      {1, Megabytes{1.3}, data::Region::kEurope},
+      {2, Megabytes{0.4}, data::Region::kAsia}};
+
+  obs::MetricsRegistry registry;
+  const obs::TelemetryScope scope({.metrics = &registry});
+  space::RepairDaemon daemon(fleet, placement, catalog, {});
+  // Nothing was placed up front, so the first scan installs every copy.
+  const auto first = daemon.run_once(Milliseconds{1.0});
+  ASSERT_GT(first.bytes_moved_mb, 0.0);
+  EXPECT_NE(first.bytes_moved_mb, std::floor(first.bytes_moved_mb));
+
+  const std::uint32_t victim = placement.replicas(1).front();
+  fleet.crash_cache(victim);
+  fleet.restore_cache(victim);
+  const auto second = daemon.run_once(Milliseconds{2.0});
+  ASSERT_GT(second.bytes_moved_mb, 0.0);
+
+  EXPECT_EQ(registry.gauge("spacecdn_repair_bytes_moved_mb").value(),
+            daemon.totals().bytes_moved_mb);
+}
+#endif
 
 TEST(RepairDaemon, FallsBackToGroundWhenAllSpaceCopiesDie) {
   const orbit::WalkerConstellation shell(orbit::test_shell());

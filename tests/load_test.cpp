@@ -268,27 +268,6 @@ TEST(AdmissionController, ZeroCapDisablesAdmissionControl) {
   EXPECT_EQ(admission.rejected(), 0u);
 }
 
-TEST(AdmissionController, RejectStormsCountOncePerRollingWindow) {
-  load::AdmissionController admission(1, 1, /*reject_storm_threshold=*/3);
-  ASSERT_TRUE(admission.try_admit(0, Milliseconds{0.0}));
-
-  // Two rejections in the first 1 s window stay below the threshold.
-  EXPECT_FALSE(admission.try_admit(0, Milliseconds{10.0}));
-  EXPECT_FALSE(admission.try_admit(0, Milliseconds{20.0}));
-  EXPECT_EQ(admission.storms(), 0u);
-  // The third crosses the threshold: exactly one storm per window...
-  EXPECT_FALSE(admission.try_admit(0, Milliseconds{30.0}));
-  EXPECT_EQ(admission.storms(), 1u);
-  EXPECT_FALSE(admission.try_admit(0, Milliseconds{40.0}));
-  EXPECT_EQ(admission.storms(), 1u);
-  // ...and a later window can trip again.
-  EXPECT_FALSE(admission.try_admit(0, Milliseconds{1'500.0}));
-  EXPECT_FALSE(admission.try_admit(0, Milliseconds{1'510.0}));
-  EXPECT_EQ(admission.storms(), 1u);
-  EXPECT_FALSE(admission.try_admit(0, Milliseconds{1'520.0}));
-  EXPECT_EQ(admission.storms(), 2u);
-}
-
 // ---------------------------------------------------------------------------
 // DegradationPolicy
 // ---------------------------------------------------------------------------
@@ -588,6 +567,37 @@ TEST(LoadRunner, SeriesWindowsSumToReportTotals) {
   // drain past the arrival horizon), so windows undercount at most.
   EXPECT_LE(sum(column("completed")), static_cast<double>(report.completed));
   EXPECT_GT(sum(column("completed")), 0.0);
+}
+
+TEST(LoadRunner, DeadlineMissSpikeMarksTimelineOncePerWindow) {
+  sim::World world(load_test_spec());
+  load::LoadConfig config = load::load_config_from_spec(world.spec());
+  config.timeline = true;
+  config.horizon = Milliseconds::from_seconds(5.0);
+  // Far below any propagation delay: every completion misses its deadline.
+  config.request_deadline = Milliseconds{0.001};
+
+  const load::LoadReport report = run_load(world, config);
+  ASSERT_GT(report.completed, 0u);
+  EXPECT_EQ(report.deadline_missed, report.completed);
+
+  std::vector<double> at;
+  for (const obs::TimelineEvent& e : report.timeline.events()) {
+    if (e.kind != "flight-recorder.trip") continue;
+    EXPECT_EQ(e.subject, "deadline-miss-spike");
+    EXPECT_DOUBLE_EQ(e.value, 64.0);
+    at.push_back(e.at.value());
+  }
+  // ~400 misses per second against a threshold of 64: one mark per window.
+  ASSERT_GE(at.size(), 4u);
+  std::sort(at.begin(), at.end());
+  // A window opens at the first miss after the previous one expired and
+  // marks at most once, anywhere inside it.  So two consecutive marks can
+  // sit closer than 1 s, but window i+1 opens after mark i and lasts 1 s:
+  // marks two apart are always more than a second apart.
+  for (std::size_t i = 2; i < at.size(); ++i) {
+    EXPECT_GT(at[i] - at[i - 2], 1'000.0) << "marks " << i - 2 << " and " << i;
+  }
 }
 
 TEST(LoadRunner, SeriesAndTimelineAreDeterministic) {

@@ -1,5 +1,5 @@
 // Tests for the observability subsystem (obs/): metrics registry +
-// exporters, trace spans, flight recorder, telemetry hub, profiler -- plus
+// exporters, trace spans, telemetry hub, profiler -- plus
 // integration through the instrumented SpaceCDN router.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "data/datasets.hpp"
 #include "des/simulator.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/slo.hpp"
@@ -304,91 +303,6 @@ TEST(Trace, WaterfallRendersEverySpan) {
   EXPECT_GE(count_lines(out), 4u);
 }
 
-// ---------------------------------------------------------- flight recorder
-
-TEST(FlightRecorder, RingKeepsMostRecent) {
-  FlightRecorder recorder({.capacity = 3});
-  for (int i = 1; i <= 5; ++i) {
-    Trace t = sample_trace();
-    t.id = static_cast<std::uint64_t>(i);
-    recorder.push(std::move(t));
-  }
-  EXPECT_EQ(recorder.pushed(), 5u);
-  EXPECT_EQ(recorder.size(), 3u);
-  const auto kept = recorder.snapshot();
-  ASSERT_EQ(kept.size(), 3u);
-  EXPECT_EQ(kept[0].id, 3u);  // oldest first
-  EXPECT_EQ(kept[2].id, 5u);
-}
-
-TEST(FlightRecorder, TripDumpsRetainedTraces) {
-  FlightRecorder recorder({.capacity = 4});
-  std::ostringstream dump;
-  recorder.set_dump_sink(&dump);
-  recorder.push(sample_trace());
-  recorder.push(sample_trace());
-  recorder.trip("repair-audit-unrepairable", Milliseconds{1234.0});
-  EXPECT_EQ(recorder.trips(), 1u);
-  EXPECT_EQ(recorder.last_trip_reason(), "repair-audit-unrepairable");
-  const std::string out = dump.str();
-  EXPECT_EQ(out.find("# flight-recorder trip: repair-audit-unrepairable"), 0u);
-  // Header line plus one JSONL line per retained trace.
-  EXPECT_EQ(count_lines(out), 3u);
-}
-
-TEST(FlightRecorder, TracerFeedsRecorder) {
-  FlightRecorder recorder({.capacity = 2});
-  Tracer tracer;
-  tracer.set_recorder(&recorder);
-  tracer.record(sample_trace());
-  EXPECT_EQ(recorder.size(), 1u);
-  EXPECT_EQ(recorder.snapshot()[0].id, 1u);
-}
-
-TEST(FlightRecorder, EntriesStampSeqAndSimTime) {
-  FlightRecorder recorder({.capacity = 4});
-  for (int i = 0; i < 3; ++i) {
-    Trace t = sample_trace();
-    t.at = Milliseconds{100.0 * (i + 1)};
-    recorder.push(std::move(t));
-  }
-  const auto entries = recorder.entries();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].seq, 0u);
-  EXPECT_EQ(entries[2].seq, 2u);
-  EXPECT_DOUBLE_EQ(entries[0].at.value(), 100.0);
-  EXPECT_DOUBLE_EQ(entries[2].at.value(), 300.0);
-}
-
-TEST(FlightRecorder, WrapAroundKeepsOldestFirstAndDumpOrdering) {
-  FlightRecorder recorder({.capacity = 4});
-  for (int i = 0; i < 10; ++i) {
-    Trace t = sample_trace();
-    t.id = static_cast<std::uint64_t>(i);
-    t.at = Milliseconds{10.0 * i};
-    recorder.push(std::move(t));
-  }
-  // Ring wrapped twice; the four retained entries are pushes 6..9, oldest
-  // first even though the ring's head is mid-array.
-  const auto entries = recorder.entries();
-  ASSERT_EQ(entries.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(entries[i].seq, 6u + i);
-    EXPECT_EQ(entries[i].trace.id, 6u + i);
-    EXPECT_DOUBLE_EQ(entries[i].at.value(), 10.0 * (6.0 + static_cast<double>(i)));
-  }
-
-  // A trip after the wrap dumps the same order and names the seq range.
-  std::ostringstream dump;
-  recorder.set_dump_sink(&dump);
-  recorder.trip("wrap-audit", Milliseconds{999.0});
-  const std::string out = dump.str();
-  EXPECT_NE(out.find("seq 6..9"), std::string::npos);
-  EXPECT_EQ(count_lines(out), 5u);  // header + 4 retained traces
-  // JSONL body lines appear oldest first: trace id 6 before id 9.
-  EXPECT_LT(out.find("{\"trace_id\":6,"), out.find("{\"trace_id\":9,"));
-}
-
 // ------------------------------------------------------- time-series recorder
 
 TEST(TimeSeries, GaugeAndCounterColumns) {
@@ -670,7 +584,6 @@ TEST(Telemetry, ScopeInstallsAndRestores) {
     const TelemetryScope scope({.metrics = &reg, .tracer = &tracer});
     EXPECT_EQ(metrics(), &reg);
     EXPECT_EQ(obs::tracer(), &tracer);
-    EXPECT_EQ(recorder(), nullptr);
   }
   EXPECT_EQ(metrics(), nullptr);
   EXPECT_EQ(obs::tracer(), nullptr);
@@ -680,11 +593,7 @@ TEST(Telemetry, SessionWiresEverything) {
   TelemetrySession session;
   EXPECT_EQ(metrics(), &session.metrics());
   EXPECT_EQ(tracer(), &session.tracer());
-  EXPECT_EQ(recorder(), &session.recorder());
   EXPECT_EQ(profiler(), &session.profiler());
-  // The session's tracer feeds its flight recorder.
-  session.tracer().record(sample_trace());
-  EXPECT_EQ(session.recorder().size(), 1u);
 }
 
 TEST(Telemetry, ProfileMacroRecordsSections) {
@@ -773,7 +682,7 @@ TEST(RouterTelemetry, ResilientTraceChildrenSumToTotal) {
   EXPECT_NEAR(trace.total().value(), result.total_latency.value(), 1e-9);
 }
 
-TEST(RouterTelemetry, ExhaustedFetchTripsFlightRecorder) {
+TEST(RouterTelemetry, ExhaustedFetchCountsResilientFailure) {
   const auto& net = shell1();
   space::SatelliteFleet fleet(net.constellation().size(),
                               space::FleetConfig{Megabytes{1000.0}});
@@ -781,20 +690,17 @@ TEST(RouterTelemetry, ExhaustedFetchTripsFlightRecorder) {
   space::SpaceCdnRouter router(net, fleet, ground);
 
   TelemetrySession session;
-  std::ostringstream dump;
-  session.recorder().set_dump_sink(&dump);
+  session.tracer().set_retain(1);
 
   des::Rng rng(5);
   // A polar client has no shell-1 coverage: every attempt fails.
   const auto result = router.fetch_resilient({89.0, 0.0, 0.0}, data::country("US"),
                                              item(3), rng, Milliseconds{0.0});
   EXPECT_FALSE(result.success);
-  EXPECT_EQ(session.recorder().trips(), 1u);
-  EXPECT_EQ(session.recorder().last_trip_reason(), "fetch_resilient-exhausted");
-  // The dump holds the failed fetch's own trace (recorded before the trip).
-  EXPECT_EQ(dump.str().find("# flight-recorder trip: fetch_resilient-exhausted"), 0u);
-  EXPECT_NE(dump.str().find("\"failed\":true"), std::string::npos);
   EXPECT_EQ(session.metrics().counter_value("spacecdn_resilient_failure_total"), 1u);
+  // The failed fetch still records its own trace, marked failed.
+  EXPECT_EQ(session.tracer().recorded(), 1u);
+  EXPECT_TRUE(session.tracer().last().failed);
 }
 
 TEST(RouterTelemetry, CacheEventsCarryTierLabel) {

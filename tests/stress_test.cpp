@@ -107,27 +107,21 @@ TEST(Differential, EveryPolicyAgreesOnPresenceAfterColdInsert) {
   }
 }
 
-TEST(Stress, SimulatorScheduleCancelStorm) {
+TEST(Stress, SimulatorScheduleStorm) {
   des::Simulator sim;
   des::Rng rng(102);
-  std::vector<des::EventId> live;
   int fired = 0;
   int scheduled = 0;
-  int cancelled = 0;
 
-  // A self-perpetuating storm: events schedule and cancel other events.
+  // A self-perpetuating storm: events schedule further events from inside
+  // their actions, recycling pooled slots while the queue is live.
   std::function<void()> spawn = [&] {
     ++fired;
     if (scheduled > 5000) return;
     const int children = static_cast<int>(rng.uniform_int(0, 3));
     for (int c = 0; c < children; ++c) {
       ++scheduled;
-      live.push_back(sim.schedule(Milliseconds{rng.uniform(0.1, 10.0)}, spawn));
-    }
-    if (!live.empty() && rng.chance(0.3)) {
-      const std::size_t victim = rng.uniform_int(0, live.size() - 1);
-      if (sim.cancel(live[victim])) ++cancelled;
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      sim.schedule(Milliseconds{rng.uniform(0.1, 10.0)}, spawn);
     }
   };
   for (int seed_events = 0; seed_events < 10; ++seed_events) {
@@ -135,9 +129,9 @@ TEST(Stress, SimulatorScheduleCancelStorm) {
     sim.schedule(Milliseconds{rng.uniform(0.0, 1.0)}, spawn);
   }
   sim.run();
-  EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_EQ(fired + cancelled, scheduled);
-  EXPECT_GT(cancelled, 0);
+  EXPECT_EQ(fired, scheduled);
+  EXPECT_EQ(sim.processed_events(), static_cast<std::uint64_t>(scheduled));
+  EXPECT_GT(scheduled, 5000);
 }
 
 TEST(Stress, SimulatorClockNeverRegresses) {

@@ -1,0 +1,127 @@
+#!/usr/bin/env bash
+# Golden-checksum gate: every published invocation must reproduce its pinned
+# checksums at every thread count.
+#
+# Reads bench/golden.txt (format documented there).  For each row and each
+# thread count it runs `$BUILD/bench/<bench> <args...> --threads=N`, collects
+# the ordered `checksum: 0x...` lines from stdout (the same grep as
+# tools/determinism_gate.sh) followed by the "checksum" field of every
+# --json-out file, and compares that list with the row's expected values.
+#
+# Usage: golden_gate.sh [LABEL...]   check the named rows (default: all)
+#        golden_gate.sh --self-test  rerun the fig7 row with a perturbed --seed:
+#                                    it must run cleanly, print checksums, and
+#                                    be rejected by the comparison
+# Env:   BUILD     build directory holding bench/ (default: build)
+#        MANIFEST  manifest path (default: bench/golden.txt)
+set -euo pipefail
+
+build=${BUILD:-build}
+manifest=${MANIFEST:-bench/golden.txt}
+threads="1 4"
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+
+trim() { local s=$1; s=${s#"${s%%[![:space:]]*}"}; echo "${s%"${s##*[![:space:]]}"}"; }
+
+# Prints "<label>|<command>|<expected>" for each manifest row.
+rows() {
+  local label cmd expected
+  while IFS='|' read -r label cmd expected; do
+    label=$(trim "$label")
+    case "$label" in "" | "#"*) continue ;; esac
+    echo "$label|$(trim "$cmd")|$(trim "$expected")"
+  done < "$manifest"
+}
+
+# run_row <label> <command> <threads> [extra args...]: runs the row once and
+# prints its ordered checksums on one line; non-zero if the bench failed.
+run_row() {
+  local label=$1 cmd=$2 n=$3
+  shift 3
+  local words arg got
+  read -ra words <<< "$cmd"
+  local out="$scratch/$label.t$n"
+  mkdir -p "$out"
+  local args=()
+  for arg in "${words[@]:1}" "$@"; do args+=("${arg//\{OUT\}/$out}"); done
+  if ! "$build/bench/${words[0]}" "${args[@]}" "--threads=$n" < /dev/null > "$out/stdout" 2> "$out/stderr"; then
+    echo "FAIL $label --threads=$n: exited non-zero; stderr tail:" >&2
+    tail -n 5 "$out/stderr" >&2
+    return 1
+  fi
+  got=$(grep -o 'checksum: 0x[0-9a-f]*' "$out/stdout" | sed 's/^checksum: //' || true)
+  for arg in "${args[@]}"; do
+    case "$arg" in
+      --json-out=*)
+        got+=$'\n'$(grep -o '"checksum": "0x[0-9a-f]*"' "${arg#--json-out=}" \
+                    | grep -o '0x[0-9a-f]*' || true) ;;
+    esac
+  done
+  echo $got  # one line, single spaces
+}
+
+# check_row <label> <command> <expected>: 0 iff every thread count
+# reproduces <expected>.
+check_row() {
+  local label=$1 cmd=$2 expected=$3
+  local n got status=0
+  for n in $threads; do
+    if ! got=$(run_row "$label" "$cmd" "$n"); then
+      status=1
+    elif [ "$got" = "$expected" ]; then
+      echo "ok   $label --threads=$n: $got"
+    else
+      echo "FAIL $label --threads=$n"
+      echo "     expected: $expected"
+      echo "     got:      ${got:-<none>}"
+      status=1
+    fi
+  done
+  return $status
+}
+
+if [ "${1:-}" = "--self-test" ]; then
+  line=$(rows | grep "^fig7|" || true)
+  if [ -z "$line" ]; then
+    echo "::error::self-test row fig7 is not in $manifest"
+    exit 1
+  fi
+  IFS='|' read -r label cmd expected <<< "$line"
+  # A seed no published row uses.  The run itself must succeed and print
+  # checksums, so only a moved value can make the comparison reject it.
+  if ! got=$(run_row "$label" "$cmd" 1 --seed=987654321); then
+    echo "::error::golden gate self-test: the perturbed fig7 run failed"
+    exit 1
+  fi
+  if [ -z "$got" ]; then
+    echo "::error::golden gate self-test: the perturbed fig7 run printed no checksum"
+    exit 1
+  fi
+  if [ "$got" = "$expected" ]; then
+    echo "::error::golden gate self-test: a perturbed --seed still matched fig7's golden values"
+    exit 1
+  fi
+  echo "OK: golden gate self-test (perturbed --seed on fig7 gave $got, rejected against $expected)"
+  exit 0
+fi
+
+failed=()
+checked=0
+while IFS='|' read -r label cmd expected; do
+  if [ "$#" -gt 0 ]; then
+    case " $* " in *" $label "*) ;; *) continue ;; esac
+  fi
+  checked=$((checked + 1))
+  check_row "$label" "$cmd" "$expected" || failed+=("$label")
+done < <(rows)
+
+if [ "$checked" -eq 0 ]; then
+  echo "::error::no manifest rows selected"
+  exit 1
+fi
+if [ "${#failed[@]}" -gt 0 ]; then
+  echo "::error::golden checksums moved for: ${failed[*]} (update $manifest with a reason, or fix the regression)"
+  exit 1
+fi
+echo "OK: $checked golden row(s) reproduce at --threads in {$threads}"

@@ -2,7 +2,7 @@
 """Render a --timeline-out incident timeline (JSONL) as ASCII or markdown.
 
 The simulator's unified incident timeline merges fault injections, circuit
-breaker transitions, degradation hot-marks/sheds, flight-recorder trips, SLO
+breaker transitions, degradation hot-marks/sheds, deadline-miss spikes, SLO
 burn-rate alerts, and surge windows into one sim-time-ordered JSONL stream
 (one object per line: run, at_ms, kind, subject, optional detail/value).
 This renderer turns that stream into a human-readable incident narrative --
