@@ -8,9 +8,8 @@
 //
 //   disabled  -- no sinks installed; the zero-cost default every simulation
 //                runs with.  This is the baseline.
-//   metrics   -- MetricsRegistry installed, plus a TimeSeriesRecorder
-//                sampling registry counters every 256 fetches: the
-//                "always-on" aggregate-telemetry deployment.
+//   metrics   -- MetricsRegistry installed, exactly what --metrics-out
+//                installs: the "always-on" aggregate-telemetry deployment.
 //                Gate: < --limit (2%) overhead versus disabled.
 //   full      -- everything on (metrics, tracer building a span tree per
 //                fetch, wall-clock profiler).  Reported for
@@ -29,13 +28,11 @@
 #include <chrono>
 #include <cmath>
 #include <iostream>
-#include <optional>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "cdn/popularity.hpp"
 #include "data/datasets.hpp"
-#include "obs/timeseries.hpp"
 #include "sim/runner.hpp"
 #include "spacecdn/placement_map.hpp"
 #include "spacecdn/router.hpp"
@@ -46,18 +43,12 @@ namespace {
 
 using namespace spacecdn;
 
-/// A series-recorder tick closes a window every this many fetches, standing
-/// in for the 1 s sim-time cadence of a load run (a few dozen closes per
-/// round -- the same order of magnitude per wall-second as production).
-constexpr int kSeriesTickEvery = 256;
-
 struct Workload {
   const lsn::StarlinkNetwork* network = nullptr;
   space::SpaceCdnRouter* router = nullptr;
   const cdn::ContentCatalog* catalog = nullptr;
   const cdn::RegionalPopularity* popularity = nullptr;
   std::vector<const data::CityInfo*> clients;
-  obs::TimeSeriesRecorder* series = nullptr;  ///< ticked every kSeriesTickEvery
 };
 
 /// Runs one round of `fetches` requests; returns (seconds, rtt checksum).
@@ -72,9 +63,6 @@ std::pair<double, double> run_round(const Workload& w, int fetches, std::uint64_
     const auto result = w.router->fetch(data::location(*city), country,
                                         w.catalog->item(id), rng, Milliseconds{0.0});
     if (result) checksum += result->rtt.value();
-    if (w.series && (i + 1) % kSeriesTickEvery == 0) {
-      w.series->tick(Milliseconds{static_cast<double>(i + 1)});
-    }
   }
   const auto stop = std::chrono::steady_clock::now();
   return {std::chrono::duration<double>(stop - start).count(), checksum};
@@ -146,29 +134,14 @@ int main(int argc, char** argv) {
     double round_secs[3] = {0.0, 0.0, 0.0};
     for (int mode = 0; mode < 3; ++mode) {
       obs::TelemetrySinks sinks;
-      // Fresh per round: tick() requires monotonic time, and the fetch
-      // index restarts at zero each round.
-      std::optional<obs::TimeSeriesRecorder> series;
-      if (mode >= kMetrics) {
-        sinks.metrics = &registry;
-        series.emplace(obs::TimeSeriesConfig{
-            Milliseconds{static_cast<double>(kSeriesTickEvery)}});
-        series->track_counter(registry, "spacecdn_fetch_served_total",
-                              {{"tier", "serving-satellite"}}, "served_satellite");
-        series->track_counter(registry, "spacecdn_fetch_served_total",
-                              {{"tier", "ground"}}, "served_ground");
-        series->track_counter(registry, "spacecdn_ground_cache_total",
-                              {{"result", "hit"}}, "ground_hits");
-      }
+      if (mode >= kMetrics) sinks.metrics = &registry;
       if (mode == kFull) {
         sinks.tracer = &tracer;
         sinks.profiler = &profiler;
       }
       const obs::TelemetryScope scope(sinks);
-      w.series = series ? &*series : nullptr;
       // Same seed in every mode/round: identical request sequence.
       const auto [seconds, sum] = run_round(w, fetches, runner.seed());
-      w.series = nullptr;
       round_secs[mode] = seconds;
       best[mode] = std::min(best[mode], seconds);
       checksum[mode] = sum;

@@ -1,6 +1,7 @@
 #include "load/load_runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "data/datasets.hpp"
@@ -34,6 +35,28 @@ constexpr std::uint64_t link_key(std::uint32_t from, std::uint32_t to) noexcept 
   return (static_cast<std::uint64_t>(from) << 32) | to;
 }
 
+/// The windowed series columns, in the order close_window() fills them.
+constexpr std::array<const char*, 16> kSeriesColumns = {
+    "offered",          "completed",       "failed",         "rejected",
+    "no_coverage",      "deadline_missed", "shed_to_ground", "availability",
+    "p50_ms",           "p99_ms",          "goodput_mbps",   "queue_depth",
+    "active_transfers", "breaker_open",    "hot_satellites", "slo_fast_burn"};
+
+/// Schedules `tick(t)` at every grid point t = k*width before `horizon`,
+/// then once at the horizon itself (a partial last window when the horizon
+/// is off the grid).  Computed as k*width, not accumulated, so long runs
+/// don't drift off the grid.
+template <class Tick>
+void schedule_grid(des::Simulator& sim, Milliseconds width, Milliseconds horizon,
+                   Tick tick) {
+  for (std::uint64_t k = 1;; ++k) {
+    const Milliseconds t{static_cast<double>(k) * width.value()};
+    if (t >= horizon) break;
+    sim.schedule_at(t, [tick, t] { tick(t); });
+  }
+  if (horizon > sim.now()) sim.schedule_at(horizon, [tick, horizon] { tick(horizon); });
+}
+
 }  // namespace
 
 LoadRunner::LoadRunner(lsn::StarlinkNetwork& network, space::SatelliteFleet& fleet,
@@ -52,9 +75,7 @@ LoadRunner::LoadRunner(lsn::StarlinkNetwork& network, space::SatelliteFleet& fle
     // New arrivals steer away from satellites inside a hot window.
     router_.set_serving_filter(
         [this](std::uint32_t sat) { return !degradation_->hot(sat, sim_.now()); });
-  }
-  admission_.set_reject_hook([this](std::uint32_t sat, std::size_t active) {
-    if (degradation_) {
+    admission_.set_reject_hook([this](std::uint32_t sat, std::size_t) {
       const std::uint64_t marks_before = degradation_->hot_marks();
       degradation_->on_reject(sat, sim_.now());
       // Only window *entries* land on the timeline; re-marks extend silently.
@@ -62,9 +83,8 @@ LoadRunner::LoadRunner(lsn::StarlinkNetwork& network, space::SatelliteFleet& fle
         timeline_.record(sim_.now(), "degradation.hot-mark",
                          "satellite:" + std::to_string(sat));
       }
-    }
-    if (user_reject_hook_) user_reject_hook_(sat, active);
-  });
+    });
+  }
   const auto& cities = traffic_.clients();
   city_rng_.reserve(cities.size());
   city_country_.reserve(cities.size());
@@ -81,21 +101,12 @@ LoadRunner::LoadRunner(lsn::StarlinkNetwork& network, space::SatelliteFleet& fle
 
 void LoadRunner::setup_observability() {
   timeline_enabled_ = config_.timeline;
-  const bool series_on = config_.series_interval.value() > 0.0;
-  if (timeline_enabled_ || series_on) {
-    // The SLO tracker rides along with either artifact: burn rates feed the
-    // series, alert transitions feed the timeline.
-    slo_.emplace(config_.slo);
-    if (timeline_enabled_) {
-      const char* subject = config_.request_deadline.value() > 0.0
-                                ? "slo:deadline"
-                                : "slo:availability";
-      slo_->set_alert_hook([this, subject](const obs::SloAlert& alert) {
-        timeline_.record(alert.at,
-                         alert.firing ? "slo.alert-fire" : "slo.alert-resolve",
-                         subject, "short-window burn rate", alert.short_burn);
-      });
-    }
+  series_enabled_ = config_.series_interval.value() > 0.0;
+  // The SLO tracker rides along with either artifact: burn rates feed the
+  // series, alert transitions feed the timeline.
+  if (timeline_enabled_ || series_enabled_) slo_.emplace(config_.slo);
+  if (series_enabled_) {
+    report_.series.columns.assign(kSeriesColumns.begin(), kSeriesColumns.end());
   }
   if (timeline_enabled_) {
     router_.set_breaker_listener(
@@ -107,63 +118,50 @@ void LoadRunner::setup_observability() {
                            "from " + std::string(space::to_string(from)));
         });
   }
-  if (!series_on) return;
-  series_.emplace(obs::TimeSeriesConfig{config_.series_interval});
-  series_->add_gauge("offered",
-                     [this] { return static_cast<double>(window_.offered); });
-  series_->add_gauge("completed",
-                     [this] { return static_cast<double>(window_.completed); });
-  series_->add_gauge("failed",
-                     [this] { return static_cast<double>(window_.failed); });
-  series_->add_gauge("rejected",
-                     [this] { return static_cast<double>(window_.rejected); });
-  series_->add_gauge("no_coverage", [this] {
-    return static_cast<double>(window_.no_coverage);
-  });
-  series_->add_gauge("deadline_missed", [this] {
-    return static_cast<double>(window_.deadline_missed);
-  });
-  series_->add_gauge("shed_to_ground",
-                     [this] { return static_cast<double>(window_.shed); });
-  series_->add_gauge("availability", [this] {
-    return window_.offered == 0
-               ? 1.0
-               : static_cast<double>(window_.completed) /
-                     static_cast<double>(window_.offered);
-  });
-  series_->add_gauge("p50_ms", [this] {
-    return window_.latency_ms.size() == 0 ? 0.0
-                                          : window_.latency_ms.quantile(0.5);
-  });
-  series_->add_gauge("p99_ms", [this] {
-    return window_.latency_ms.size() == 0 ? 0.0
-                                          : window_.latency_ms.quantile(0.99);
-  });
-  series_->add_gauge(
-      "goodput_mbps",
-      obs::TimeSeriesRecorder::WindowProbe(
-          [this](Milliseconds start, Milliseconds end) {
-            const double seconds = (end - start).seconds();
-            return seconds <= 0.0 ? 0.0 : window_.delivered_mb * 8.0 / seconds;
-          }));
-  series_->add_gauge("queue_depth", [this] {
-    return static_cast<double>(queue_depth_total());
-  });
-  series_->add_gauge("active_transfers",
-                     [this] { return static_cast<double>(inflight_); });
-  series_->add_gauge("breaker_open", [this] {
-    return static_cast<double>(router_.breaker_open_count());
-  });
-  series_->add_gauge("hot_satellites", [this] {
-    return degradation_
-               ? static_cast<double>(degradation_->hot_count(sim_.now()))
-               : 0.0;
-  });
-  series_->add_gauge("slo_fast_burn", [this] {
-    return slo_ ? slo_->burn_rate(sim_.now(), slo_->config().short_window)
-                : 0.0;
-  });
-  series_->on_window_close([this] { window_ = WindowCounts{}; });
+}
+
+void LoadRunner::evaluate_slo(Milliseconds now) {
+  const std::size_t transitions = slo_->alerts().size();
+  slo_->evaluate(now);
+  if (!timeline_enabled_ || slo_->alerts().size() == transitions) return;
+  const obs::SloAlert& alert = slo_->alerts().back();
+  timeline_.record(alert.at, alert.firing ? "slo.alert-fire" : "slo.alert-resolve",
+                   config_.request_deadline.value() > 0.0 ? "slo:deadline"
+                                                          : "slo:availability",
+                   "short-window burn rate", alert.short_burn);
+}
+
+void LoadRunner::close_window(Milliseconds end) {
+  obs::TimeSeries& series = report_.series;
+  const Milliseconds start =
+      series.windows.empty() ? Milliseconds{0.0} : series.windows.back().end;
+  const double seconds = (end - start).seconds();
+  const WindowCounts& w = window_;
+  series.windows.push_back(obs::SeriesWindow{
+      .index = series.windows.size(),
+      .start = start,
+      .end = end,
+      .values = {
+          static_cast<double>(w.offered),
+          static_cast<double>(w.completed),
+          static_cast<double>(w.failed),
+          static_cast<double>(w.rejected),
+          static_cast<double>(w.no_coverage),
+          static_cast<double>(w.deadline_missed),
+          static_cast<double>(w.shed),
+          w.offered == 0 ? 1.0
+                         : static_cast<double>(w.completed) /
+                               static_cast<double>(w.offered),
+          w.latency_ms.size() == 0 ? 0.0 : w.latency_ms.quantile(0.5),
+          w.latency_ms.size() == 0 ? 0.0 : w.latency_ms.quantile(0.99),
+          seconds <= 0.0 ? 0.0 : w.delivered_mb * 8.0 / seconds,
+          static_cast<double>(queue_depth_total()),
+          static_cast<double>(inflight_),
+          static_cast<double>(router_.breaker_open_count()),
+          degradation_ ? static_cast<double>(degradation_->hot_count(end)) : 0.0,
+          slo_->burn_rate(end, slo_->config().short_window),
+      }});
+  window_ = WindowCounts{};
 }
 
 void LoadRunner::note_outcome(Milliseconds now, bool good) {
@@ -179,11 +177,6 @@ std::size_t LoadRunner::queue_depth_total() const noexcept {
     if (queue) total += queue->depth();
   }
   return total;
-}
-
-void LoadRunner::set_reject_hook(AdmissionController::RejectHook hook) {
-  // The degradation policy's hook stays first in the chain.
-  user_reject_hook_ = std::move(hook);
 }
 
 space::ChurnController::Counters LoadRunner::churn_counters() const {
@@ -227,11 +220,17 @@ void LoadRunner::prepare() {
     timeline_.record(surge.start + surge.duration, "surge.end", "traffic", {},
                      surge.multiplier);
   }
-  // Observability ticks are DES events too: the SLO evaluator first so the
-  // series recorder (installed after, same boundaries) samples the already
-  // updated burn rate and alert state.
-  if (slo_) slo_->install(sim_, config_.horizon);
-  if (series_) series_->install(sim_, config_.horizon);
+  // Window ticks are DES events too, scheduled before any arrival: the SLO
+  // grid first so a series window closing at the same instant reads the
+  // already updated burn rate and alert state.
+  if (slo_) {
+    schedule_grid(sim_, slo_->config().bucket, config_.horizon,
+                  [this](Milliseconds t) { evaluate_slo(t); });
+  }
+  if (series_enabled_) {
+    schedule_grid(sim_, config_.series_interval, config_.horizon,
+                  [this](Milliseconds t) { close_window(t); });
+  }
 
   for (std::size_t i = 0; i < traffic_.clients().size(); ++i) {
     schedule_next_arrival(i);
@@ -260,7 +259,6 @@ LoadReport LoadRunner::collect() {
     report_.slo_alerts = slo_->alerts_fired();
     report_.slo_budget_consumed = slo_->budget_consumed();
   }
-  if (series_) report_.series = series_->take_series();
   if (timeline_enabled_) report_.timeline = std::move(timeline_);
 
   if (obs::MetricsRegistry* m = obs::metrics()) {
@@ -317,7 +315,7 @@ void LoadRunner::handle_arrival(std::size_t client_index) {
   // omission).
   schedule_next_arrival(client_index);
   ++report_.offered;
-  if (series_) ++window_.offered;
+  if (series_enabled_) ++window_.offered;
 
   des::Rng& rng = city_rng_[client_index];
   const data::CountryInfo& country = *city_country_[client_index];
@@ -335,7 +333,7 @@ void LoadRunner::handle_arrival(std::size_t client_index) {
     if (!result.success) {
       // Exhausted attempts or deadline budget (includes coverage gaps).
       ++report_.failed;
-      if (series_) ++window_.failed;
+      if (series_enabled_) ++window_.failed;
       note_outcome(arrival, /*good=*/false);
       if (config_.request_deadline.value() > 0.0) note_deadline_miss(arrival);
       return;
@@ -347,7 +345,7 @@ void LoadRunner::handle_arrival(std::size_t client_index) {
     fetch = router_.fetch(city_location_[client_index], country, item, rng, arrival);
     if (!fetch) {
       ++report_.no_coverage;
-      if (series_) ++window_.no_coverage;
+      if (series_enabled_) ++window_.no_coverage;
       note_outcome(arrival, /*good=*/false);
       return;
     }
@@ -369,7 +367,7 @@ void LoadRunner::handle_arrival(std::size_t client_index) {
           admission_.try_admit(shed.served->serving_satellite)) {
         ++report_.shed_to_ground;
         ++inflight_;
-        if (series_) ++window_.shed;
+        if (series_enabled_) ++window_.shed;
         if (timeline_enabled_) {
           timeline_.record(
               arrival, "degradation.shed",
@@ -382,7 +380,7 @@ void LoadRunner::handle_arrival(std::size_t client_index) {
       }
     }
     ++report_.rejected;
-    if (series_) ++window_.rejected;
+    if (series_enabled_) ++window_.rejected;
     note_outcome(arrival, /*good=*/false);
     return;
   }
@@ -486,13 +484,13 @@ void LoadRunner::finish_transfer(std::size_t client_index, space::FetchTier tier
   const double deadline = config_.request_deadline.value();
   const bool met_deadline = deadline <= 0.0 || latency.value() <= deadline;
   note_outcome(sim_.now(), met_deadline);
-  if (series_) {
+  if (series_enabled_) {
     ++window_.completed;
     window_.latency_ms.add(latency.value());
   }
   if (!met_deadline) {
     ++report_.deadline_missed;
-    if (series_) ++window_.deadline_missed;
+    if (series_enabled_) ++window_.deadline_missed;
     note_deadline_miss(sim_.now());
     if (latency.value() > 2.0 * deadline) {
       // The viewer moved on: delivered, but not goodput.
@@ -501,7 +499,7 @@ void LoadRunner::finish_transfer(std::size_t client_index, space::FetchTier tier
     }
   }
   report_.delivered += volume;
-  if (series_) window_.delivered_mb += volume.value();
+  if (series_enabled_) window_.delivered_mb += volume.value();
 
   // Tail-at-scale adaptive hedging: re-derive the hedge delay from the
   // trailing completion p99 every 256 completions.
@@ -574,9 +572,12 @@ LoadConfig load_config_from_spec(const sim::ScenarioSpec& spec) {
     config.traffic.surge.duration = Milliseconds::from_seconds(spec.chaos_duration_s);
   }
 
-  // Sim-time observability: the recorder runs whenever a series artifact was
+  // Sim-time observability: the series runs whenever a series artifact was
   // requested, the timeline whenever a timeline artifact was.
   if (!spec.series_out.empty()) {
+    if (!(spec.series_interval_s > 0.0)) {
+      throw ConfigError("series-interval-s must be positive when series-out is set");
+    }
     config.series_interval = Milliseconds::from_seconds(spec.series_interval_s);
   }
   config.timeline = !spec.timeline_out.empty();

@@ -16,6 +16,12 @@
 // config, seed).  Parallelism lives one level up: benches shard *runs*
 // (offered-load points) across threads and merge in point order, keeping
 // the fig9 checksum bit-identical for any --threads value.
+//
+// Sim-time observability rides on the same simulator: when a series or a
+// timeline is configured, prepare() schedules one tick per SLO bucket
+// boundary and then one per series window boundary, and the runner writes
+// the windowed series, SLO alerts and incident timeline straight into its
+// LoadReport.
 #pragma once
 
 #include <array>
@@ -78,17 +84,17 @@ struct LoadConfig {
   /// so outages hit mid-run with transfers in flight.  Empty = no faults.
   faults::FaultSchedule fault_schedule = faults::FaultSchedule::from_trace({});
 
-  // --- sim-time observability (all off by default; the recorder, timeline,
+  // --- sim-time observability (all off by default; the series, timeline,
   // and SLO tracker are per-run state driven by this run's private
   // simulator, so parallel sweeps stay bit-identical) ---
-  /// Sampling window of the windowed time series; 0 disables the recorder.
+  /// Window width of the windowed time series; <= 0 disables the series.
   Milliseconds series_interval{0.0};
   /// Record the unified incident timeline (fault events, breaker
   /// transitions, degradation hot-marks/sheds, deadline-miss spikes, SLO
   /// alerts).
   bool timeline = false;
   /// Burn-rate alerting policy.  The tracker is engaged whenever the series
-  /// recorder or the timeline is on: with a request deadline, "good" means
+  /// or the timeline is on: with a request deadline, "good" means
   /// completed within it; without one, any completion is good.
   obs::SloConfig slo = {};
 };
@@ -175,14 +181,10 @@ class LoadRunner {
   LoadRunner(const LoadRunner&) = delete;
   LoadRunner& operator=(const LoadRunner&) = delete;
 
-  /// The backpressure hook: fires on every admission rejection.  Install
-  /// before run(); e.g. feed a faults-style degradation policy.
-  void set_reject_hook(AdmissionController::RejectHook hook);
-
-  /// Prewarms placement, installs the fault schedule and observability
-  /// producers, runs the simulator until it drains, and aggregates the
-  /// report.  Also mirrors the headline numbers into obs::metrics() when a
-  /// registry is installed (single-threaded sinks; call from one thread).
+  /// Prewarms placement, installs the fault schedule and the window ticks,
+  /// runs the simulator until it drains, and aggregates the report.  Also
+  /// mirrors the headline numbers into obs::metrics() when a registry is
+  /// installed (single-threaded sinks; call from one thread).
   [[nodiscard]] LoadReport run();
 
   /// The simulator this run schedules on.
@@ -218,16 +220,23 @@ class LoadRunner {
   /// timeline once per window.
   void note_deadline_miss(Milliseconds now);
 
-  /// Stage 1 of run(): prewarms placement, installs the fault schedule and
-  /// observability producers, and schedules every client's first arrival.
+  /// Stage 1 of run(): prewarms placement, installs the fault schedule,
+  /// schedules the SLO and series window ticks, and every client's first
+  /// arrival.
   void prepare();
   /// Stage 2 of run(): aggregates the report after the simulator drained.
   [[nodiscard]] LoadReport collect();
-  /// Engages the recorder / SLO tracker / timeline producers per config
-  /// (called from the constructor; no-op when everything is off).
+  /// Engages the SLO tracker and the timeline producers per config (called
+  /// from the constructor; no-op when everything is off).
   void setup_observability();
-  /// Feeds one request outcome to the SLO tracker and window accumulators.
+  /// Feeds one request outcome to the SLO tracker.
   void note_outcome(Milliseconds now, bool good);
+  /// SLO window tick: evaluates the burn-rate rule at `now` and puts a fire
+  /// or resolve transition on the timeline.
+  void evaluate_slo(Milliseconds now);
+  /// Series window tick: appends the window ending at `end` to the report's
+  /// series and resets the per-window accumulators.
+  void close_window(Milliseconds end);
   /// Sum of the current depths of every live bottleneck queue.
   [[nodiscard]] std::size_t queue_depth_total() const noexcept;
 
@@ -242,8 +251,6 @@ class LoadRunner {
   std::optional<space::ChurnController> churn_;
   /// Hot-satellite marking + shed-to-ground (engaged when degradation.enabled).
   std::optional<DegradationPolicy> degradation_;
-  /// The caller's reject hook; chained after the degradation policy's.
-  AdmissionController::RejectHook user_reject_hook_;
   /// Rolling one-second deadline-miss window (timeline spike marks).
   Milliseconds miss_window_start_{0.0};
   std::size_t miss_window_count_ = 0;
@@ -258,13 +265,13 @@ class LoadRunner {
   LoadReport report_;
 
   // --- sim-time observability (engaged only when configured) ---
-  std::optional<obs::TimeSeriesRecorder> series_;
   std::optional<obs::SloTracker> slo_;
   obs::IncidentTimeline timeline_;
   bool timeline_enabled_ = false;
-  /// Concurrent admitted transfers (an active-transfers series gauge).
+  bool series_enabled_ = false;
+  /// Concurrent admitted transfers (the active_transfers series column).
   std::size_t inflight_ = 0;
-  /// Per-window accumulators behind the recorder's probes; reset at every
+  /// Per-window accumulators behind the series columns; reset at every
   /// window close.
   struct WindowCounts {
     std::uint64_t offered = 0;

@@ -65,21 +65,6 @@ void SloTracker::evaluate(Milliseconds now) {
   firing_ = should_fire;
   if (should_fire) ++fired_;
   alerts_.push_back(SloAlert{now, should_fire, short_burn, long_burn});
-  if (hook_) hook_(alerts_.back());
-}
-
-void SloTracker::install(des::Simulator& sim, Milliseconds horizon) {
-  const double width = config_.bucket.value();
-  auto k =
-      static_cast<std::uint64_t>(std::floor(sim.now().value() / width)) + 1;
-  for (double t = static_cast<double>(k) * width; t < horizon.value();
-       t = static_cast<double>(++k) * width) {
-    if (t <= sim.now().value()) continue;
-    sim.schedule_at(Milliseconds{t}, [this, t] { evaluate(Milliseconds{t}); });
-  }
-  if (horizon > sim.now()) {
-    sim.schedule_at(horizon, [this, horizon] { evaluate(horizon); });
-  }
 }
 
 double SloTracker::budget_consumed() const noexcept {

@@ -3,8 +3,9 @@
 // Layered on the load engine's deadline ledger: every request outcome is
 // classified good (met the SLO: completed within its deadline) or bad
 // (failed, rejected, uncovered, or past-deadline) and bucketed by sim-time.
-// The tracker then evaluates the standard SRE multi-window burn-rate rule
-// at deterministic bucket boundaries: with an objective of `objective`
+// The owner calls evaluate() on bucket boundaries (the load engine schedules
+// one DES tick per boundary), which applies the standard SRE multi-window
+// burn-rate rule: with an objective of `objective`
 // (error budget = 1 - objective), the burn rate over a trailing window is
 //
 //   burn = (bad / total over the window) / (1 - objective)
@@ -18,10 +19,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "des/simulator.hpp"
 #include "util/units.hpp"
 
 namespace spacecdn::obs {
@@ -50,23 +49,14 @@ struct SloAlert {
 
 class SloTracker {
  public:
-  using AlertHook = std::function<void(const SloAlert&)>;
-
   explicit SloTracker(SloConfig config = {});
 
   /// Records one request outcome at `now` (good = the request met the SLO).
   void record(Milliseconds now, bool good);
 
-  /// Schedules one evaluate() per bucket boundary on `sim` from sim.now()
-  /// up to and including `horizon`.
-  void install(des::Simulator& sim, Milliseconds horizon);
-
   /// Evaluates the trailing windows ending at `now`; when the firing state
-  /// flips, appends an SloAlert transition and invokes the alert hook.
+  /// flips, appends an SloAlert transition to alerts().
   void evaluate(Milliseconds now);
-
-  /// Called on every fire/resolve transition (timeline wiring).
-  void set_alert_hook(AlertHook hook) { hook_ = std::move(hook); }
 
   /// Burn rate over the trailing `window` ending at `now`, at bucket
   /// granularity; 0 when the window saw no requests.
@@ -102,7 +92,6 @@ class SloTracker {
   bool firing_ = false;
   std::uint64_t fired_ = 0;
   std::vector<SloAlert> alerts_;
-  AlertHook hook_;
 };
 
 }  // namespace spacecdn::obs

@@ -2,34 +2,22 @@
 // at the end.
 //
 // The paper's interesting phenomena (reconfiguration dips, failover cliffs,
-// burn-rate spikes) only show up as time series, so the recorder samples a
-// set of registered probes on a fixed sim-time cadence driven by the DES
-// itself: install() schedules one tick per window boundary, and each tick
-// closes the window by sampling every column.  Two probe flavors:
-//
-//   - gauges: sampled as-is at window close (queue depth, open breakers);
-//   - counters: the probe returns a cumulative count and the recorded value
-//     is the per-window delta (offered, completed, rejects, ...).
-//
-// Windows align to the interval grid anchored at t=0 regardless of when the
-// recorder is installed, so a recorder installed mid-run produces a partial
-// first window and a horizon off the grid produces a partial last window --
+// burn-rate spikes) only show up as time series.  The load engine closes one
+// window per boundary of a sim-time grid anchored at t=0 and appends a row of
+// per-window values; a horizon off the grid gives a partial last window, so
 // series from different runs line up column-for-column.
 //
-// The recorded TimeSeries is plain data with CSV/JSONL exporters and an
-// FNV-1a checksum over every (start, end, values) triple, extending the
-// repo's serial-vs-parallel bit-equality gates to timelines.
+// The TimeSeries is plain data with CSV/JSONL exporters and an FNV-1a
+// checksum over every (start, end, values) triple, extending the repo's
+// serial-vs-parallel bit-equality gates to timelines.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "des/simulator.hpp"
-#include "obs/metrics.hpp"
 #include "util/units.hpp"
 
 namespace spacecdn::obs {
@@ -60,71 +48,6 @@ class TimeSeries {
 
   /// FNV-1a digest over (start, end, values) of every window in order.
   [[nodiscard]] std::uint64_t checksum() const;
-};
-
-struct TimeSeriesConfig {
-  /// Window width; the sampling grid is anchored at t=0.
-  Milliseconds interval{1'000.0};
-};
-
-class TimeSeriesRecorder {
- public:
-  explicit TimeSeriesRecorder(TimeSeriesConfig config = {});
-
-  /// A probe samples one column at window close.  Window-aware probes also
-  /// see the closing window's bounds (rates need the window width; partial
-  /// windows make it non-constant).
-  using Probe = std::function<double()>;
-  using WindowProbe = std::function<double(Milliseconds start, Milliseconds end)>;
-
-  /// Gauge column: recorded value is the probe's sample at window close.
-  void add_gauge(std::string column, Probe probe);
-  void add_gauge(std::string column, WindowProbe probe);
-  /// Counter column: the probe returns a cumulative count; the recorded
-  /// value is the delta since the previous window close.
-  void add_counter(std::string column, Probe probe);
-  /// Registry-backed counter column sampled by delta.  The counter is
-  /// created when absent (reads 0 until someone increments it); `column`
-  /// defaults to the metric name.
-  void track_counter(MetricsRegistry& registry, const std::string& metric,
-                     const LabelSet& labels = {}, std::string column = {});
-  /// Hook run after each window closes -- the place to reset per-window
-  /// accumulators feeding the probes.
-  void on_window_close(std::function<void()> hook);
-
-  /// Schedules one window-close tick per grid boundary on `sim` from
-  /// sim.now() up to and including `horizon` (a final partial window when
-  /// the horizon is off the grid).  Columns must all be registered first.
-  void install(des::Simulator& sim, Milliseconds horizon);
-
-  /// Closes the window [previous close, now] directly -- for tests and
-  /// non-DES drivers (the telemetry-overhead bench).  `now` must not be
-  /// before the previous close.
-  void tick(Milliseconds now);
-
-  [[nodiscard]] const TimeSeries& series() const noexcept { return series_; }
-  [[nodiscard]] TimeSeries take_series() noexcept {
-    return std::move(series_);
-  }
-  [[nodiscard]] std::uint64_t checksum() const { return series_.checksum(); }
-  [[nodiscard]] const TimeSeriesConfig& config() const noexcept {
-    return config_;
-  }
-
- private:
-  struct Column {
-    WindowProbe probe;
-    bool delta = false;   ///< record probe() - last instead of probe()
-    double last = 0.0;    ///< previous cumulative sample (delta columns)
-  };
-
-  void add_column(std::string name, WindowProbe probe, bool delta);
-
-  TimeSeriesConfig config_;
-  std::vector<Column> columns_;
-  std::vector<std::function<void()>> close_hooks_;
-  TimeSeries series_;
-  Milliseconds last_close_{0.0};
 };
 
 }  // namespace spacecdn::obs

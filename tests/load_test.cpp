@@ -2,7 +2,9 @@
 // admission control, the scenario-key mapping, and end-to-end LoadRunner
 // determinism on the reduced test-shell constellation.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -463,16 +465,17 @@ TEST(LoadRunner, RejectHookSeesAdmissionDrops) {
   load::LoadConfig config = load::load_config_from_spec(world.spec());
   config.traffic.requests_per_second *= 16.0;  // deep overload
   config.capacity.max_transfers_per_satellite = 4;
+  // The degradation policy is the runner's admission reject hook; without
+  // shedding every rejection stays a rejection.
+  config.degradation.enabled = true;
 
-  space::SatelliteFleet fleet = world.make_fleet();
-  cdn::CdnDeployment ground = world.make_ground_cdn();
-  load::LoadRunner engine(world.network(), fleet, ground, world.clients(), config);
-  std::uint64_t hook_fired = 0;
-  engine.set_reject_hook([&](std::uint32_t, std::size_t) { ++hook_fired; });
-  const load::LoadReport report = engine.run();
+  const load::LoadReport report = run_load(world, config);
   EXPECT_GT(report.rejected, 0u);
-  EXPECT_EQ(hook_fired, report.rejected);
   EXPECT_LE(report.peak_active_transfers, 4u);
+  // Each hot mark is a rejection the hook saw; re-marks inside a hot window
+  // extend it without counting again.
+  EXPECT_GT(report.hot_marks, 0u);
+  EXPECT_LE(report.hot_marks, report.rejected);
 }
 
 TEST(LoadRunner, ResilientDeadlineAccountingIsConsistent) {
@@ -535,6 +538,78 @@ TEST(LoadConfig, FromSpecMapsObservabilityKeys) {
   const load::LoadConfig off_config = load::load_config_from_spec(off);
   EXPECT_DOUBLE_EQ(off_config.series_interval.value(), 0.0);
   EXPECT_FALSE(off_config.timeline);
+}
+
+TEST(LoadConfig, SeriesOutRequiresPositiveInterval) {
+  sim::ScenarioSpec spec;
+  spec.constellation = "test-shell";
+  spec.series_out = "series.csv";
+  for (const double interval : {0.0, -1.0, std::nan("")}) {
+    spec.series_interval_s = interval;
+    EXPECT_THROW((void)load::load_config_from_spec(spec), ConfigError) << interval;
+  }
+  // Without a series artifact the interval is never read.
+  spec.series_out.clear();
+  spec.series_interval_s = 0.0;
+  EXPECT_NO_THROW((void)load::load_config_from_spec(spec));
+}
+
+TEST(LoadRunner, SeriesColumnsInOrder) {
+  sim::World world(load_test_spec());
+  load::LoadConfig config = load::load_config_from_spec(world.spec());
+  config.series_interval = Milliseconds{1'000.0};
+
+  const load::LoadReport report = run_load(world, config);
+  const std::vector<std::string> expected = {
+      "offered",          "completed",       "failed",         "rejected",
+      "no_coverage",      "deadline_missed", "shed_to_ground", "availability",
+      "p50_ms",           "p99_ms",          "goodput_mbps",   "queue_depth",
+      "active_transfers", "breaker_open",    "hot_satellites", "slo_fast_burn"};
+  EXPECT_EQ(report.series.columns, expected);
+  for (const obs::SeriesWindow& w : report.series.windows) {
+    EXPECT_EQ(w.values.size(), expected.size());
+  }
+}
+
+TEST(LoadRunner, SeriesGridEndsAtOffGridHorizon) {
+  // Horizon off the grid: a 1 s interval over a 2.25 s run closes [0,1],
+  // [1,2], and a final partial [2,2.25] exactly at the horizon.
+  sim::World world(load_test_spec());
+  load::LoadConfig config = load::load_config_from_spec(world.spec());
+  config.series_interval = Milliseconds{1'000.0};
+  config.horizon = Milliseconds{2'250.0};
+
+  const load::LoadReport report = run_load(world, config);
+  const auto& w = report.series.windows;
+  ASSERT_EQ(w.size(), 3u);
+  EXPECT_DOUBLE_EQ(w[0].start.value(), 0.0);
+  EXPECT_DOUBLE_EQ(w[0].end.value(), 1'000.0);
+  EXPECT_DOUBLE_EQ(w[1].start.value(), 1'000.0);
+  EXPECT_DOUBLE_EQ(w[1].end.value(), 2'000.0);
+  EXPECT_DOUBLE_EQ(w[2].start.value(), 2'000.0);
+  EXPECT_DOUBLE_EQ(w[2].end.value(), 2'250.0);
+  EXPECT_EQ(w[2].index, 2u);
+}
+
+TEST(LoadRunner, SloAlertLandsOnTimelineAtBucketBoundary) {
+  sim::World world(load_test_spec());
+  load::LoadConfig config = load::load_config_from_spec(world.spec());
+  config.timeline = true;
+  // Far below any propagation delay: every completion is bad, so the burn
+  // rate is 1/(1 - objective) in both windows from the first bucket on.
+  config.request_deadline = Milliseconds{0.001};
+
+  const load::LoadReport report = run_load(world, config);
+  ASSERT_GT(report.completed, 0u);
+  EXPECT_EQ(report.slo_alerts, 1u);
+  ASSERT_EQ(report.timeline.count("slo.alert-fire"), 1u);
+  for (const obs::TimelineEvent& e : report.timeline.events()) {
+    if (e.kind != "slo.alert-fire") continue;
+    EXPECT_EQ(e.subject, "slo:deadline");
+    EXPECT_GT(e.at.value(), 0.0);
+    // The SLO grid evaluates on whole bucket (1 s) boundaries only.
+    EXPECT_DOUBLE_EQ(std::fmod(e.at.value(), 1'000.0), 0.0) << e.at.value();
+  }
 }
 
 TEST(LoadRunner, SeriesWindowsSumToReportTotals) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "data/datasets.hpp"
-#include "des/simulator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/slo.hpp"
@@ -303,128 +302,47 @@ TEST(Trace, WaterfallRendersEverySpan) {
   EXPECT_GE(count_lines(out), 4u);
 }
 
-// ------------------------------------------------------- time-series recorder
+// ---------------------------------------------------------------- time series
 
-TEST(TimeSeries, GaugeAndCounterColumns) {
-  TimeSeriesRecorder rec({.interval = Milliseconds{1'000.0}});
-  double depth = 0.0;
-  double cumulative = 0.0;
-  rec.add_gauge("depth", [&] { return depth; });
-  rec.add_counter("completed", [&] { return cumulative; });
-
-  depth = 3.0;
-  cumulative = 10.0;
-  rec.tick(Milliseconds{1'000.0});
-  depth = 1.0;
-  cumulative = 25.0;
-  rec.tick(Milliseconds{2'000.0});
-
-  const TimeSeries& s = rec.series();
-  ASSERT_EQ(s.columns.size(), 2u);
-  ASSERT_EQ(s.windows.size(), 2u);
-  EXPECT_DOUBLE_EQ(s.windows[0].values[0], 3.0);   // gauge: sampled as-is
-  EXPECT_DOUBLE_EQ(s.windows[0].values[1], 10.0);  // counter: first delta
-  EXPECT_DOUBLE_EQ(s.windows[1].values[0], 1.0);
-  EXPECT_DOUBLE_EQ(s.windows[1].values[1], 15.0);  // 25 - 10
-  EXPECT_DOUBLE_EQ(s.windows[1].start.value(), 1'000.0);
-  EXPECT_DOUBLE_EQ(s.windows[1].end.value(), 2'000.0);
-}
-
-TEST(TimeSeries, TracksRegistryCounterByDelta) {
-  MetricsRegistry reg;
-  TimeSeriesRecorder rec;
-  rec.track_counter(reg, "spacecdn_req_total", {{"tier", "ground"}}, "reqs");
-  reg.counter("spacecdn_req_total", {{"tier", "ground"}}).inc(4);
-  rec.tick(Milliseconds{1'000.0});
-  reg.counter("spacecdn_req_total", {{"tier", "ground"}}).inc(6);
-  rec.tick(Milliseconds{2'000.0});
-  ASSERT_EQ(rec.series().columns.size(), 1u);
-  EXPECT_EQ(rec.series().columns[0], "reqs");
-  EXPECT_DOUBLE_EQ(rec.series().windows[0].values[0], 4.0);
-  EXPECT_DOUBLE_EQ(rec.series().windows[1].values[0], 6.0);
-}
-
-TEST(TimeSeries, InstallAlignsToGridWithPartialLastWindow) {
-  // Horizon off the grid: interval 3 s over a 10.5 s run closes [0,3],
-  // [3,6], [6,9], and a final partial [9,10.5] exactly at the horizon.
-  des::Simulator sim;
-  TimeSeriesRecorder rec({.interval = Milliseconds{3'000.0}});
-  rec.add_gauge("t", [&] { return sim.now().value(); });
-  rec.install(sim, Milliseconds{10'500.0});
-  sim.run();
-
-  const auto& w = rec.series().windows;
-  ASSERT_EQ(w.size(), 4u);
-  EXPECT_DOUBLE_EQ(w[0].start.value(), 0.0);
-  EXPECT_DOUBLE_EQ(w[0].end.value(), 3'000.0);
-  EXPECT_DOUBLE_EQ(w[2].end.value(), 9'000.0);
-  EXPECT_DOUBLE_EQ(w[3].start.value(), 9'000.0);
-  EXPECT_DOUBLE_EQ(w[3].end.value(), 10'500.0);
-  EXPECT_EQ(w[3].index, 3u);
-}
-
-TEST(TimeSeries, MidRunInstallProducesPartialFirstWindow) {
-  // Installed at t=4.5 s on a 3 s grid: the first close is the next grid
-  // boundary (6 s), so the first window is the partial [4.5, 6].
-  des::Simulator sim;
-  TimeSeriesRecorder rec({.interval = Milliseconds{3'000.0}});
-  rec.add_gauge("one", [] { return 1.0; });
-  sim.schedule(Milliseconds{4'500.0},
-               [&] { rec.install(sim, Milliseconds{9'000.0}); });
-  sim.run();
-
-  const auto& w = rec.series().windows;
-  ASSERT_EQ(w.size(), 2u);
-  EXPECT_DOUBLE_EQ(w[0].start.value(), 4'500.0);
-  EXPECT_DOUBLE_EQ(w[0].end.value(), 6'000.0);
-  EXPECT_DOUBLE_EQ(w[1].start.value(), 6'000.0);
-  EXPECT_DOUBLE_EQ(w[1].end.value(), 9'000.0);
-}
-
-TEST(TimeSeries, WindowCloseHookResetsAccumulators) {
-  TimeSeriesRecorder rec;
-  double in_window = 7.0;
-  rec.add_gauge("x", [&] { return in_window; });
-  rec.on_window_close([&] { in_window = 0.0; });
-  rec.tick(Milliseconds{1'000.0});
-  rec.tick(Milliseconds{2'000.0});
-  // Probes sample before the close hook runs: window 0 sees the value,
-  // window 1 sees the reset.
-  EXPECT_DOUBLE_EQ(rec.series().windows[0].values[0], 7.0);
-  EXPECT_DOUBLE_EQ(rec.series().windows[1].values[0], 0.0);
+/// A one-column series with `values[i]` in window [i s, (i+1) s].
+TimeSeries one_column_series(std::string column, const std::vector<double>& values) {
+  TimeSeries series;
+  series.columns = {std::move(column)};
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    series.windows.push_back({.index = i,
+                              .start = Milliseconds{1'000.0 * static_cast<double>(i)},
+                              .end = Milliseconds{1'000.0 * static_cast<double>(i + 1)},
+                              .values = {values[i]}});
+  }
+  return series;
 }
 
 TEST(TimeSeries, ChecksumIsDeterministicAndShapeSensitive) {
-  const auto record = [](double scale) {
-    TimeSeriesRecorder rec;
-    double v = 0.0;
-    rec.add_gauge("v", [&] { return v; });
-    v = 1.0 * scale;
-    rec.tick(Milliseconds{1'000.0});
-    v = 2.0 * scale;
-    rec.tick(Milliseconds{2'000.0});
-    return rec.checksum();
+  const auto checksum = [](double scale) {
+    return one_column_series("v", {1.0 * scale, 2.0 * scale}).checksum();
   };
-  EXPECT_EQ(record(1.0), record(1.0));
-  EXPECT_NE(record(1.0), record(2.0));
+  EXPECT_EQ(checksum(1.0), checksum(1.0));
+  EXPECT_NE(checksum(1.0), checksum(2.0));
+  // Window bounds are part of the digest, not just the values.
+  TimeSeries shifted = one_column_series("v", {1.0, 2.0});
+  shifted.windows[1].end = Milliseconds{2'500.0};
+  EXPECT_NE(shifted.checksum(), checksum(1.0));
 }
 
 TEST(TimeSeries, CsvAndJsonlExportShape) {
-  TimeSeriesRecorder rec;
-  rec.add_gauge("depth", [] { return 2.5; });
-  rec.tick(Milliseconds{1'000.0});
+  const TimeSeries series = one_column_series("depth", {2.5});
 
   std::ostringstream csv;
-  rec.series().write_csv(csv, "on");
+  series.write_csv(csv, "on");
   EXPECT_EQ(csv.str(),
             "run,window,start_ms,end_ms,depth\non,0,0,1000,2.5\n");
 
   std::ostringstream bare;
-  rec.series().write_csv(bare, /*run=*/{}, /*header=*/false);
+  series.write_csv(bare, /*run=*/{}, /*header=*/false);
   EXPECT_EQ(bare.str(), "0,0,1000,2.5\n");
 
   std::ostringstream jsonl;
-  rec.series().write_jsonl(jsonl, "on");
+  series.write_jsonl(jsonl, "on");
   EXPECT_EQ(jsonl.str(),
             "{\"run\":\"on\",\"window\":0,\"start_ms\":0,\"end_ms\":1000,"
             "\"depth\":2.5}\n");
@@ -515,8 +433,6 @@ TEST(Slo, FiresWhenBothWindowsBurnAndResolvesAfter) {
                   .long_window = Milliseconds{3'000.0},
                   .burn_threshold = 3.0,
                   .bucket = Milliseconds{1'000.0}});
-  std::vector<SloAlert> seen;
-  slo.set_alert_hook([&](const SloAlert& a) { seen.push_back(a); });
 
   // Bucket 0: healthy.  Buckets 1-2: 50% bad (burn 5x > 3x threshold).
   for (int i = 0; i < 10; ++i) slo.record(Milliseconds{100.0}, true);
@@ -542,6 +458,8 @@ TEST(Slo, FiresWhenBothWindowsBurnAndResolvesAfter) {
   slo.evaluate(Milliseconds{4'000.0});
   EXPECT_FALSE(slo.firing());
 
+  // Exactly the two transitions, in sim-time order.
+  const std::vector<SloAlert>& seen = slo.alerts();
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_TRUE(seen[0].firing);
   EXPECT_DOUBLE_EQ(seen[0].at.value(), 3'000.0);
@@ -549,27 +467,6 @@ TEST(Slo, FiresWhenBothWindowsBurnAndResolvesAfter) {
   EXPECT_GE(seen[0].long_burn, 3.0);
   EXPECT_FALSE(seen[1].firing);
   EXPECT_DOUBLE_EQ(seen[1].at.value(), 4'000.0);
-  // The transition log mirrors the hook calls.
-  ASSERT_EQ(slo.alerts().size(), 2u);
-  EXPECT_TRUE(slo.alerts()[0].firing);
-}
-
-TEST(Slo, InstallEvaluatesOnBucketBoundaries) {
-  des::Simulator sim;
-  SloTracker slo({.objective = 0.9,
-                  .short_window = Milliseconds{1'000.0},
-                  .long_window = Milliseconds{1'000.0},
-                  .burn_threshold = 2.0,
-                  .bucket = Milliseconds{1'000.0}});
-  slo.install(sim, Milliseconds{3'000.0});
-  // All-bad traffic in bucket 1 fires at the 2 s boundary evaluation.
-  sim.schedule(Milliseconds{1'500.0}, [&] {
-    for (int i = 0; i < 4; ++i) slo.record(sim.now(), false);
-  });
-  sim.run();
-  EXPECT_EQ(slo.alerts_fired(), 1u);
-  ASSERT_FALSE(slo.alerts().empty());
-  EXPECT_DOUBLE_EQ(slo.alerts()[0].at.value(), 2'000.0);
 }
 
 // ------------------------------------------------------------ telemetry hub

@@ -4,14 +4,18 @@
 #
 # Reads bench/golden.txt (format documented there).  For each row and each
 # thread count it runs `$BUILD/bench/<bench> <args...> --threads=N`, collects
-# the ordered `checksum: 0x...` lines from stdout (the same grep as
-# tools/determinism_gate.sh) followed by the "checksum" field of every
-# --json-out file, and compares that list with the row's expected values.
+# the ordered `checksum: 0x...` lines from stdout followed by the "checksum"
+# field of every --json-out file, and compares that list with the row's
+# expected values.  Every other `{OUT}` file (the chaos series and timeline)
+# must also be byte-identical across thread counts; --json-out files are
+# exempt because they record the thread count itself.
 #
 # Usage: golden_gate.sh [LABEL...]   check the named rows (default: all)
 #        golden_gate.sh --self-test  rerun the fig7 row with a perturbed --seed:
 #                                    it must run cleanly, print checksums, and
-#                                    be rejected by the comparison
+#                                    be rejected by the comparison; and a
+#                                    mismatched {OUT} file pair must fail the
+#                                    byte compare
 # Env:   BUILD     build directory holding bench/ (default: build)
 #        MANIFEST  manifest path (default: bench/golden.txt)
 set -euo pipefail
@@ -61,8 +65,35 @@ run_row() {
   echo $got  # one line, single spaces
 }
 
+# compare_outputs <label> <command>: 0 iff every non --json-out {OUT} file
+# of the first thread count's run is byte-identical to every other run's.
+compare_outputs() {
+  local label=$1 cmd=$2
+  local words word path n status=0
+  local first=${threads%% *}
+  read -ra words <<< "$cmd"
+  for word in "${words[@]:1}"; do
+    case "$word" in
+      --json-out=*) ;;
+      *"{OUT}"*)
+        path=${word#*=}
+        for n in $threads; do
+          [ "$n" = "$first" ] && continue
+          if cmp -s "${path//\{OUT\}/$scratch/$label.t$first}" \
+                    "${path//\{OUT\}/$scratch/$label.t$n}"; then
+            echo "ok   $label ${path##*/}: byte-identical at --threads=$first and $n"
+          else
+            echo "FAIL $label ${path##*/}: differs between --threads=$first and $n"
+            status=1
+          fi
+        done ;;
+    esac
+  done
+  return $status
+}
+
 # check_row <label> <command> <expected>: 0 iff every thread count
-# reproduces <expected>.
+# reproduces <expected> and the same {OUT} files.
 check_row() {
   local label=$1 cmd=$2 expected=$3
   local n got status=0
@@ -78,6 +109,7 @@ check_row() {
       status=1
     fi
   done
+  compare_outputs "$label" "$cmd" || status=1
   return $status
 }
 
@@ -103,6 +135,22 @@ if [ "${1:-}" = "--self-test" ]; then
     exit 1
   fi
   echo "OK: golden gate self-test (perturbed --seed on fig7 gave $got, rejected against $expected)"
+  # The file compare: an identical {OUT} pair passes, a mismatched one fails.
+  cmd="self_test --series-out={OUT}/series.csv"
+  for n in $threads; do
+    mkdir -p "$scratch/self_test.t$n"
+    echo "0,0,1000,2.5" > "$scratch/self_test.t$n/series.csv"
+  done
+  if ! compare_outputs self_test "$cmd" > /dev/null; then
+    echo "::error::golden gate self-test: an identical {OUT} file pair was rejected"
+    exit 1
+  fi
+  echo "0,0,1000,9.5" > "$scratch/self_test.t${threads##* }/series.csv"
+  if compare_outputs self_test "$cmd" > /dev/null; then
+    echo "::error::golden gate self-test: a mismatched {OUT} file pair still passed"
+    exit 1
+  fi
+  echo "OK: golden gate self-test (a mismatched {OUT} file pair was rejected)"
   exit 0
 fi
 
