@@ -1,8 +1,9 @@
 // Ablation: jump-hash placement map vs re-place-everything under churn.
 //
-// ROADMAP item 2's acceptance experiment.  Three placement policies run the
-// ablation_churn 24 h MTBF x MTTR grid with the map-directed router and the
-// delta-mode RepairDaemon:
+// The acceptance experiment of the placement engine (DESIGN.md, "Placement
+// engine").  Three placement policies run sim::run_churn_cycle over the
+// shared 24 h MTBF x MTTR grid (the one ablation_churn sweeps) with the
+// map-directed tier (ii) and the delta-mode RepairDaemon:
 //
 //   baseline  membership-aware naive recompute (replicas evenly spaced over
 //             the *live* satellite list) -- the re-place-everything policy;
@@ -24,12 +25,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "cdn/popularity.hpp"
-#include "data/datasets.hpp"
-#include "faults/schedule.hpp"
+#include "sim/churn.hpp"
 #include "sim/runner.hpp"
-#include "spacecdn/resilience.hpp"
-#include "spacecdn/router.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -37,9 +34,6 @@ namespace {
 
 using namespace spacecdn;
 
-constexpr Milliseconds kHorizon = Milliseconds::from_minutes(24.0 * 60.0);
-constexpr int kFetches = 2000;
-constexpr std::uint64_t kCatalogSize = 200;
 /// Larger synthetic id universe for the static quality metrics, so skew
 /// estimates are not dominated by small-sample noise.
 constexpr std::uint64_t kQualityCatalog = 20'000;
@@ -54,115 +48,9 @@ space::PlacementMapConfig map_config(space::PlacementPolicy policy,
   return {.policy = policy, .replicas = 4, .diversity = diversity, .ec = {4, 2}};
 }
 
-struct PlacementRunResult {
-  double availability = 0.0;  // fraction of fetches that succeeded
-  double p99_ms = 0.0;        // client-observed total latency
-  double bytes_moved_gb = 0.0;  // repair traffic over the 24 h cycle
-  std::uint64_t moved = 0;          // delta-repair re-positioned copies
-  std::uint64_t evicted_stale = 0;  // stale copies dropped after moves
-  std::uint64_t satellite_failures = 0;
-  std::uint64_t cache_crashes = 0;
-
-  friend bool operator==(const PlacementRunResult&, const PlacementRunResult&) = default;
-};
-
-/// One 24 h churn run with a placement map directing lookup and repair.
-/// Mirrors ablation_churn's run_churn so the two benches stay comparable;
-/// the differences are the map-directed router tier (ii), the
-/// membership-synced ChurnController, and the delta-mode RepairDaemon.
-PlacementRunResult run_placement(const sim::World& world, space::PlacementPolicy policy,
-                                 space::ReplicaDiversity diversity, Milliseconds mtbf,
-                                 Milliseconds mttr, std::uint64_t seed,
-                                 std::uint64_t catalog_seed) {
-  const auto network_ptr =
-      world.make_network(lsn::starlink_preset(world.spec().constellation));
-  lsn::StarlinkNetwork& network = *network_ptr;
-  des::Rng catalog_rng(catalog_seed);
-  const cdn::ContentCatalog catalog({.object_count = kCatalogSize}, catalog_rng);
-  const cdn::RegionalPopularity popularity(catalog.size(), {});
-  space::SatelliteFleet fleet(network.constellation().size(), world.fleet_config());
-  cdn::CdnDeployment ground(data::cdn_sites(), {});
-  space::SpaceCdnRouter router(network, fleet, ground,
-                               {.resilience = {.transient_loss = 0.01}});
-
-  space::PlacementMap map(network.constellation(), map_config(policy, diversity));
-  router.set_placement_map(&map);
-
-  std::vector<cdn::ContentItem> items;
-  items.reserve(catalog.size());
-  for (cdn::ContentId id = 0; id < catalog.size(); ++id) {
-    items.push_back(catalog.item(id));
-    map.place(fleet, items.back(), Milliseconds{0.0});
-  }
-
-  // Same fault timeline shape as ablation_churn: the swept (MTBF, MTTR)
-  // drives satellite outages and cache crashes; laser flaps and gateway
-  // outages stay at fixed paper-scale background rates.
-  faults::ChurnConfig churn;
-  churn.horizon = kHorizon;
-  churn.satellite = {mtbf, mttr};
-  churn.laser_terminal = {Milliseconds::from_minutes(12.0 * 60.0),
-                          Milliseconds::from_minutes(10.0)};
-  churn.ground_station = {Milliseconds::from_minutes(24.0 * 60.0),
-                          Milliseconds::from_minutes(60.0)};
-  churn.cache_node = {mtbf * 2.0, mttr};
-  des::Rng fault_rng(seed);
-  const auto schedule = faults::FaultSchedule::generate(
-      churn,
-      {.satellites = network.constellation().size(),
-       .ground_stations = static_cast<std::uint32_t>(network.ground().gateway_count())},
-      fault_rng);
-
-  des::Simulator sim;
-  space::ChurnController controller(network, fleet);
-  controller.set_membership(&map.membership());
-  space::RepairDaemon daemon(fleet, map, items, {});
-  schedule.install(sim, [&](const faults::FaultEvent& event) {
-    controller.apply(event);
-    if (event.component == faults::Component::kCacheNode &&
-        event.transition == faults::Transition::kFail) {
-      daemon.note_crash(event.target, event.at);
-    }
-  });
-  daemon.install(sim, kHorizon);
-
-  std::vector<const data::CityInfo*> clients;
-  for (const char* name :
-       {"London", "Sao Paulo", "Tokyo", "Nairobi", "Denver", "Maputo", "Kigali",
-        "Lusaka"}) {
-    clients.push_back(&data::city(name));
-  }
-
-  des::Rng workload_rng(seed + 1);
-  std::uint64_t total = 0, ok = 0;
-  des::SampleSet latency;
-  const Milliseconds step{kHorizon.value() / kFetches};
-  for (int i = 1; i <= kFetches; ++i) {
-    sim.schedule_at(step * static_cast<double>(i), [&] {
-      const auto* city = clients[workload_rng.uniform_int(0, clients.size() - 1)];
-      const auto& country = data::country(city->country_code);
-      const auto id = popularity.sample(country.region, workload_rng);
-      const auto result = router.fetch_resilient(
-          data::location(*city), country, catalog.item(id), workload_rng, sim.now());
-      ++total;
-      if (result.success) {
-        ++ok;
-        latency.add(result.total_latency.value());
-      }
-    });
-  }
-
-  sim.run();
-
-  PlacementRunResult out;
-  out.availability = total == 0 ? 0.0 : static_cast<double>(ok) / total;
-  out.p99_ms = latency.empty() ? 0.0 : latency.quantile(0.99);
-  out.bytes_moved_gb = daemon.totals().bytes_moved_mb / 1000.0;
-  out.moved = daemon.totals().moved;
-  out.evicted_stale = daemon.totals().evicted_stale;
-  out.satellite_failures = controller.counters().satellite_failures;
-  out.cache_crashes = controller.counters().cache_crashes;
-  return out;
+/// Repair traffic over the 24 h cycle, the headline metric.
+double moved_gb(const sim::ChurnCycleResult& r) {
+  return r.repair.bytes_moved_mb / 1000.0;
 }
 
 }  // namespace
@@ -171,8 +59,8 @@ int main(int argc, char** argv) {
   sim::RunnerOptions options;
   options.name = "ablation_placement_map";
   options.title = "Ablation: jump-hash placement vs re-place-everything under churn";
-  options.paper_ref = "ROADMAP item 2 (DAOS-style placement maps; MSR replica "
-                      "placement; Edge-of-the-Earth replication)";
+  options.paper_ref = "placement engine, DESIGN.md (DAOS-style placement maps; "
+                      "MSR replica placement; Edge-of-the-Earth replication)";
   options.default_seed = 410;
   sim::Runner runner(argc, argv, options);
   runner.banner();
@@ -199,19 +87,16 @@ int main(int argc, char** argv) {
                      ConsoleTable::format_fixed(skew.mean, 1),
                      ConsoleTable::format_fixed(skew.p99, 1),
                      ConsoleTable::format_fixed(skew.p99_over_mean(), 3)});
-    runner.checksum().add(hops.mean_hops);
-    runner.checksum().add(hops.p99_hops);
-    runner.checksum().add(skew.p99_over_mean());
+    for (const double v : {hops.mean_hops, hops.p99_hops,
+                           static_cast<double>(hops.max_hops), skew.mean, skew.p99,
+                           skew.p99_over_mean()}) {
+      runner.checksum().add(v);
+    }
   }
   quality.render(std::cout);
 
   // --- 24 h churn grid (the ablation_churn MTBF x MTTR sweep) ---
-  struct SweepPoint {
-    double mtbf_hours;
-    double mttr_minutes;
-  };
-  const std::vector<SweepPoint> sweep{{6.0, 15.0},  {6.0, 30.0},  {12.0, 15.0},
-                                      {12.0, 30.0}, {24.0, 15.0}, {24.0, 30.0}};
+  const auto& sweep = sim::kChurnGrid;
   // Job layout: policy-major over the grid; the final job reruns
   // jump @ (6 h, 30 min) as the cross-worker reproducibility witness.
   const std::size_t jobs_per_policy = sweep.size();
@@ -220,15 +105,14 @@ int main(int argc, char** argv) {
 
   std::cout << "\nsweep threads: " << threads << "\n\n";
   const sim::World& world = runner.world();
-  std::vector<PlacementRunResult> results(rerun_job + 1);
+  std::vector<sim::ChurnCycleResult> results(rerun_job + 1);
   runner.pool().parallel_for(results.size(), [&](std::size_t i) {
     const std::size_t job = i < rerun_job ? i : accept_job;
     const auto policy = kPolicies[job / jobs_per_policy];
     const auto& point = sweep[job % jobs_per_policy];
-    results[i] = run_placement(world, policy, diversity,
-                               Milliseconds::from_minutes(point.mtbf_hours * 60.0),
-                               Milliseconds::from_minutes(point.mttr_minutes),
-                               runner.seed(), catalog_seed);
+    results[i] = sim::run_churn_cycle(world, map_config(policy, diversity),
+                                      sim::TierTwo::kMap, point.mtbf(), point.mttr(),
+                                      runner.seed(), catalog_seed);
   });
 
   ConsoleTable table({"policy", "MTBF (h)", "MTTR (min)", "availability", "p99 (ms)",
@@ -242,25 +126,30 @@ int main(int argc, char** argv) {
     const auto policy = kPolicies[i / jobs_per_policy];
     const auto& point = sweep[i % jobs_per_policy];
     const auto& r = results[i];
-    runner.checksum().add(r.availability);
-    runner.checksum().add(r.p99_ms);
-    runner.checksum().add(r.bytes_moved_gb);
+    for (const double v : {r.availability, r.p99_ms, moved_gb(r),
+                           static_cast<double>(r.repair.moved),
+                           static_cast<double>(r.repair.evicted_stale),
+                           static_cast<double>(r.churn.satellite_failures),
+                           static_cast<double>(r.churn.cache_crashes)}) {
+      runner.checksum().add(v);
+    }
     table.add_row({std::string(space::to_string(policy)),
                    ConsoleTable::format_fixed(point.mtbf_hours, 0),
                    ConsoleTable::format_fixed(point.mttr_minutes, 0),
                    ConsoleTable::format_fixed(100.0 * r.availability, 2) + "%",
                    ConsoleTable::format_fixed(r.p99_ms, 1),
-                   ConsoleTable::format_fixed(r.bytes_moved_gb, 1),
-                   std::to_string(r.moved), std::to_string(r.evicted_stale),
-                   std::to_string(r.satellite_failures),
-                   std::to_string(r.cache_crashes)});
+                   ConsoleTable::format_fixed(moved_gb(r), 1),
+                   std::to_string(r.repair.moved), std::to_string(r.repair.evicted_stale),
+                   std::to_string(r.churn.satellite_failures),
+                   std::to_string(r.churn.cache_crashes)});
     csv.row({std::string(space::to_string(policy)),
              ConsoleTable::format_fixed(point.mtbf_hours, 0),
              ConsoleTable::format_fixed(point.mttr_minutes, 0),
              std::to_string(r.availability), std::to_string(r.p99_ms),
-             std::to_string(r.bytes_moved_gb), std::to_string(r.moved),
-             std::to_string(r.evicted_stale), std::to_string(r.satellite_failures),
-             std::to_string(r.cache_crashes)});
+             std::to_string(moved_gb(r)), std::to_string(r.repair.moved),
+             std::to_string(r.repair.evicted_stale),
+             std::to_string(r.churn.satellite_failures),
+             std::to_string(r.churn.cache_crashes)});
   }
   std::cout << "\n";
   table.render(std::cout);
@@ -273,12 +162,12 @@ int main(int argc, char** argv) {
   const auto& jump = results[accept_job];
   const auto& rerun = results[rerun_job];
   const double ratio =
-      jump.bytes_moved_gb > 0.0 ? baseline.bytes_moved_gb / jump.bytes_moved_gb : 0.0;
+      moved_gb(jump) > 0.0 ? moved_gb(baseline) / moved_gb(jump) : 0.0;
   const bool moves_less = ratio >= 5.0;
   const bool no_worse = jump.availability >= baseline.availability;
   std::cout << "\nAcceptance (MTBF 6 h, MTTR 30 min): baseline moved "
-            << ConsoleTable::format_fixed(baseline.bytes_moved_gb, 1) << " GB, jump "
-            << ConsoleTable::format_fixed(jump.bytes_moved_gb, 1) << " GB ("
+            << ConsoleTable::format_fixed(moved_gb(baseline), 1) << " GB, jump "
+            << ConsoleTable::format_fixed(moved_gb(jump), 1) << " GB ("
             << ConsoleTable::format_fixed(ratio, 1) << "x) "
             << (moves_less ? "[pass >= 5x]" : "[FAIL < 5x]") << "; availability "
             << ConsoleTable::format_fixed(100.0 * baseline.availability, 2) << "% -> "

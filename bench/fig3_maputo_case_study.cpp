@@ -12,8 +12,11 @@
 
 namespace {
 
+/// Prints one side of the figure and feeds every printed number into
+/// `checksum`.
 void print_side(const spacecdn::measurement::AimAnalysis& analysis,
-                spacecdn::measurement::IspType isp, const char* title) {
+                spacecdn::measurement::IspType isp, const char* title,
+                spacecdn::des::Fnv1aChecksum& checksum) {
   using namespace spacecdn;
   std::cout << "\n--- " << title << " ---\n";
   const auto stats = analysis.site_stats("Maputo", isp);
@@ -26,11 +29,17 @@ void print_side(const spacecdn::measurement::AimAnalysis& analysis,
                    ConsoleTable::format_fixed(s.median_idle_rtt.value(), 1),
                    ConsoleTable::format_fixed(s.distance.value(), 0),
                    std::to_string(s.samples)});
+    for (const double v : {s.median_idle_rtt.value(), s.distance.value(),
+                           static_cast<double>(s.samples)}) {
+      checksum.add(v);
+    }
     if (++shown == 10) break;  // the paper's maps show the reached subset
   }
   table.render(std::cout);
   const auto opt = analysis.optimal_site("Maputo", isp);
   if (opt) {
+    checksum.add(opt->median_idle_rtt.value());
+    checksum.add(opt->distance.value());
     std::cout << "optimal: " << opt->site << " at "
               << ConsoleTable::format_fixed(opt->median_idle_rtt.value(), 1) << " ms, "
               << ConsoleTable::format_fixed(opt->distance.value(), 0) << " km\n";
@@ -56,9 +65,11 @@ int main(int argc, char** argv) {
 
   print_side(analysis, measurement::IspType::kStarlink,
              "(a) Starlink ISP (paper: best mapping Frankfurt ~160 ms; African "
-             "sites >250 ms)");
+             "sites >250 ms)",
+             runner.checksum());
   print_side(analysis, measurement::IspType::kTerrestrial,
-             "(b) Terrestrial ISP (paper: Maputo itself ~20 ms; Johannesburg ~70 ms)");
+             "(b) Terrestrial ISP (paper: Maputo itself ~20 ms; Johannesburg ~70 ms)",
+             runner.checksum());
 
   if (const auto opt = analysis.optimal_site("Maputo", measurement::IspType::kStarlink)) {
     runner.record("starlink_optimal_site", opt->site);

@@ -56,6 +56,10 @@ int main(int argc, char** argv) {
   for (const auto& paper : kPaper) {
     const auto row = analysis.country_row(paper.code);
     if (!row) continue;
+    for (const double v : {row->terrestrial_distance_km, row->terrestrial_min_rtt_ms,
+                           row->starlink_distance_km, row->starlink_min_rtt_ms}) {
+      runner.checksum().add(v);
+    }
     table.add_row({std::string(data::country(paper.code).name),
                    ConsoleTable::format_fixed(paper.terr_km, 1),
                    ConsoleTable::format_fixed(row->terrestrial_distance_km, 1),

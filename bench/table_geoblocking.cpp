@@ -38,11 +38,21 @@ int main(int argc, char** argv) {
                    ConsoleTable::format_fixed(row.displacement.value(), 0),
                    row.country_mismatch ? "yes" : "no",
                    row.region_mismatch ? "YES" : "no"});
+    for (const double v : {row.displacement.value(), row.country_mismatch ? 1.0 : 0.0,
+                           row.region_mismatch ? 1.0 : 0.0}) {
+      runner.checksum().add(v);
+    }
     if (++shown == 25) break;
   }
   table.render(std::cout);
 
   const auto summary = study.summarize();
+  for (const double v : {static_cast<double>(summary.countries),
+                         static_cast<double>(summary.with_country_mismatch),
+                         static_cast<double>(summary.with_region_mismatch),
+                         summary.mean_displacement.value()}) {
+    runner.checksum().add(v);
+  }
   std::cout << "\nacross " << summary.countries << " covered countries:\n";
   std::cout << "  - " << summary.with_country_mismatch
             << " appear under a foreign country's IP space (geo-blocking risk)\n";

@@ -38,6 +38,14 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// Opens `file` for the output flag `--flag=path`; an empty path leaves it
+/// closed.
+void open_output(std::ofstream& file, const std::string& flag, const std::string& path) {
+  if (path.empty()) return;
+  file.open(path);
+  if (!file) throw ConfigError("cannot open --" + flag + "=" + path + " for writing");
+}
+
 }  // namespace
 
 Runner::Runner(int argc, const char* const* argv, RunnerOptions options)
@@ -48,6 +56,10 @@ Runner::Runner(int argc, const char* const* argv, RunnerOptions options)
       world_(spec_) {
   // "scenario" rides on the CLI map; mark it consumed for typo detection.
   (void)values_.get("scenario", std::string{});
+  open_output(csv_file_, "csv-out", spec_.csv_out);
+  open_output(json_file_, "json-out", spec_.json_out);
+  open_output(metrics_file_, "metrics-out", spec_.metrics_out);
+  open_output(trace_file_, "trace-out", spec_.trace_out);
 
   threads_ = ThreadPool::resolve_threads(static_cast<long>(spec_.threads));
   const bool wants_telemetry =
@@ -59,15 +71,7 @@ Runner::Runner(int argc, const char* const* argv, RunnerOptions options)
       threads_ = 1;
     }
     session_.emplace();
-    if (!spec_.trace_out.empty()) {
-      trace_file_.open(spec_.trace_out);
-      if (trace_file_) {
-        session_->tracer().set_jsonl_sink(&trace_file_);
-      } else {
-        std::cerr << "warning: cannot open --trace-out=" << spec_.trace_out
-                  << "; traces will not be written\n";
-      }
-    }
+    if (trace_file_.is_open()) session_->tracer().set_jsonl_sink(&trace_file_);
   }
 }
 
@@ -97,16 +101,8 @@ bool Runner::get(const std::string& key, bool fallback) const {
 }
 
 std::ostream& Runner::csv() {
-  if (spec_.csv_out.empty()) return std::cout;
-  if (!csv_file_.is_open()) {
-    csv_file_.open(spec_.csv_out);
-    if (!csv_file_) {
-      std::cerr << "warning: cannot open --csv-out=" << spec_.csv_out
-                << "; writing CSV to stdout\n";
-      return std::cout;
-    }
-  }
-  return csv_file_;
+  if (csv_file_.is_open()) return csv_file_;
+  return std::cout;
 }
 
 void Runner::record(const std::string& key, double value) {
@@ -125,12 +121,7 @@ void Runner::banner() {
 }
 
 void Runner::write_json(bool ok) {
-  std::ofstream out(spec_.json_out);
-  if (!out) {
-    std::cerr << "warning: cannot open --json-out=" << spec_.json_out
-              << "; results will not be written\n";
-    return;
-  }
+  std::ofstream& out = json_file_;
   out << "{\n";
   out << "  \"bench\": \"" << json_escape(options_.name) << "\",\n";
   out << "  \"seed\": " << spec_.seed << ",\n";
@@ -144,6 +135,7 @@ void Runner::write_json(bool ok) {
   }
   out << (results_.empty() ? "}" : "\n  }") << "\n";
   out << "}\n";
+  out.close();
 }
 
 int Runner::finish(bool ok) {
@@ -153,22 +145,18 @@ int Runner::finish(bool ok) {
     std::cerr << "warning: unknown flag --" << unknown << "\n";
   }
   if (session_) {
-    if (!spec_.metrics_out.empty()) {
-      std::ofstream out(spec_.metrics_out);
-      if (!out) {
-        std::cerr << "warning: cannot open --metrics-out=" << spec_.metrics_out
-                  << "; metrics will not be written\n";
-      } else if (spec_.metrics_out.size() >= 5 &&
-                 spec_.metrics_out.compare(spec_.metrics_out.size() - 5, 5,
-                                           ".json") == 0) {
-        session_->metrics().export_json(out);
+    if (metrics_file_.is_open()) {
+      if (spec_.metrics_out.size() >= 5 &&
+          spec_.metrics_out.compare(spec_.metrics_out.size() - 5, 5, ".json") == 0) {
+        session_->metrics().export_json(metrics_file_);
       } else {
-        session_->metrics().export_prometheus(out);
+        session_->metrics().export_prometheus(metrics_file_);
       }
+      metrics_file_.close();
     }
     if (spec_.profile) session_->profiler().report(std::cerr);
   }
-  if (!spec_.json_out.empty()) write_json(ok);
+  if (json_file_.is_open()) write_json(ok);
   exit_code_ = ok ? 0 : 1;
   return exit_code_;
 }

@@ -57,8 +57,11 @@ struct RunnerOptions {
 /// Uniform bench harness: spec + world + pool + telemetry + results.
 class Runner {
  public:
-  /// Parses argv (and --scenario=FILE when present) over `options.defaults`.
-  /// @throws spacecdn::ConfigError on malformed flags or scenario file.
+  /// Parses argv (and --scenario=FILE when present) over `options.defaults`
+  /// and opens every requested output file (--csv-out, --json-out,
+  /// --metrics-out, --trace-out) up front.
+  /// @throws spacecdn::ConfigError on malformed flags or scenario file, or an
+  /// output file that cannot be opened for writing.
   Runner(int argc, const char* const* argv, RunnerOptions options);
 
   /// Runs finish() if the bench did not (keeps early-return paths honest).
@@ -123,6 +126,8 @@ class Runner {
   std::unique_ptr<ThreadPool> pool_;
   des::Fnv1aChecksum checksum_;
   std::ofstream csv_file_;
+  std::ofstream json_file_;
+  std::ofstream metrics_file_;
   std::ofstream trace_file_;
   std::optional<obs::TelemetrySession> session_;
   std::vector<std::pair<std::string, std::string>> results_;

@@ -46,6 +46,8 @@ class ChurnController {
     std::uint64_t gateway_recoveries = 0;
     std::uint64_t cache_crashes = 0;
     std::uint64_t cache_restores = 0;
+
+    friend bool operator==(const Counters&, const Counters&) = default;
   };
 
   ChurnController(lsn::StarlinkNetwork& network, SatelliteFleet& fleet);
@@ -105,6 +107,7 @@ struct RepairReport {
   double bytes_moved_mb = 0.0;
 
   RepairReport& operator+=(const RepairReport& other) noexcept;
+  friend bool operator==(const RepairReport&, const RepairReport&) = default;
 };
 
 /// Detects and repairs under-replication against a PlacementMap.

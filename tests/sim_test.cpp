@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "geo/propagation.hpp"
 #include "lsn/starlink.hpp"
 #include "measurement/aim.hpp"
+#include "sim/churn.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
 #include "sim/world.hpp"
@@ -335,6 +337,100 @@ TEST(WorldTest, SharedWorldIsProcessWideDefaultScenario) {
   EXPECT_EQ(&shared, &sim::shared_world());
   EXPECT_EQ(shared.spec().constellation, "shell1");
   EXPECT_EQ(shared.spec().tests_per_city, 40u);
+}
+
+// ---------------------------------------------------------------------------
+// The shared 24 h churn cycle, on the 8x8 test shell
+// ---------------------------------------------------------------------------
+
+/// One cycle at a harsh point (satellite MTBF 2 h, so cache crashes every
+/// 4 h per satellite) with the benches' seeds.
+sim::ChurnCycleResult test_cycle(const sim::World& world,
+                                 space::PlacementPolicy policy, sim::TierTwo lookup,
+                                 std::uint64_t seed = 400) {
+  return sim::run_churn_cycle(world, {.policy = policy}, lookup,
+                              Milliseconds::from_minutes(2.0 * 60.0),
+                              Milliseconds::from_minutes(30.0), seed, 90);
+}
+
+TEST(ChurnCycleTest, IdenticalSeedsGiveEqualResults) {
+  const sim::World world(test_shell_spec());
+  const auto first =
+      test_cycle(world, space::PlacementPolicy::kPerPlane, sim::TierTwo::kBfs);
+  const auto again =
+      test_cycle(world, space::PlacementPolicy::kPerPlane, sim::TierTwo::kBfs);
+  EXPECT_TRUE(first == again);
+  const auto other_seed =
+      test_cycle(world, space::PlacementPolicy::kPerPlane, sim::TierTwo::kBfs, 401);
+  EXPECT_FALSE(first == other_seed);
+}
+
+TEST(ChurnCycleTest, BothTierTwoRulesComplete) {
+  const sim::World world(test_shell_spec());
+  // Each bench's pairing: the per-plane layout with BFS discovery, and the
+  // jump map directing tier (ii) itself.
+  const auto bfs =
+      test_cycle(world, space::PlacementPolicy::kPerPlane, sim::TierTwo::kBfs);
+  const auto map = test_cycle(world, space::PlacementPolicy::kJump, sim::TierTwo::kMap);
+  for (const auto& r : {bfs, map}) {
+    EXPECT_GT(r.availability, 0.0);
+    EXPECT_LE(r.availability, 1.0);
+    EXPECT_GT(r.churn.satellite_failures, 0u);
+  }
+}
+
+TEST(ChurnCycleTest, PerPlaneReReplicatesAfterCacheCrash) {
+  const sim::World world(test_shell_spec());
+  const auto r = test_cycle(world, space::PlacementPolicy::kPerPlane, sim::TierTwo::kBfs);
+  ASSERT_GT(r.churn.cache_crashes, 0u);
+  EXPECT_GT(r.repair.re_replicated, 0u);
+  EXPECT_GT(r.mean_ttr_min, 0.0);
+  // The per-plane layout never moves a copy; the audit only restores.
+  EXPECT_EQ(r.repair.moved, 0u);
+  EXPECT_EQ(r.repair.evicted_stale, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Runner output files: opened up front, and a failure is a ConfigError
+// ---------------------------------------------------------------------------
+
+/// Constructs a Runner with `--<flag>=<path>`.
+void construct_runner_with(const std::string& flag, const std::string& path) {
+  const std::string arg = "--" + flag + "=" + path;
+  const std::array<const char*, 2> argv{"sim_test", arg.c_str()};
+  sim::RunnerOptions options;
+  options.name = "sim_test_outputs";
+  sim::Runner runner(static_cast<int>(argv.size()), argv.data(), options);
+}
+
+/// A path whose parent directory does not exist, so no open can succeed.
+std::string unwritable_path() {
+  return ::testing::TempDir() + "spacecdn_no_such_dir/out.txt";
+}
+
+TEST(RunnerOutputTest, UnwritableJsonOutThrows) {
+  EXPECT_THROW(construct_runner_with("json-out", unwritable_path()), ConfigError);
+}
+
+TEST(RunnerOutputTest, UnwritableMetricsOutThrows) {
+  EXPECT_THROW(construct_runner_with("metrics-out", unwritable_path()), ConfigError);
+}
+
+TEST(RunnerOutputTest, UnwritableTraceOutThrows) {
+  EXPECT_THROW(construct_runner_with("trace-out", unwritable_path()), ConfigError);
+}
+
+TEST(RunnerOutputTest, UnwritableCsvOutThrows) {
+  EXPECT_THROW(construct_runner_with("csv-out", unwritable_path()), ConfigError);
+}
+
+TEST(RunnerOutputTest, WritableJsonOutIsWrittenAtFinish) {
+  const std::string path = ::testing::TempDir() + "sim_test_runner_output.json";
+  construct_runner_with("json-out", path);
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("\"bench\": \"sim_test_outputs\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,14 +8,17 @@
 # field of every --json-out file, and compares that list with the row's
 # expected values.  Every other `{OUT}` file (the chaos series and timeline)
 # must also be byte-identical across thread counts; --json-out files are
-# exempt because they record the thread count itself.
+# exempt because they record the thread count itself.  A pinned or observed
+# value equal to the FNV-1a offset basis is rejected: it is the checksum of
+# an empty stream, so the bench fed nothing into it and the row pins nothing.
 #
 # Usage: golden_gate.sh [LABEL...]   check the named rows (default: all)
 #        golden_gate.sh --self-test  rerun the fig7 row with a perturbed --seed:
 #                                    it must run cleanly, print checksums, and
 #                                    be rejected by the comparison; and a
 #                                    mismatched {OUT} file pair must fail the
-#                                    byte compare
+#                                    byte compare; and an empty-stream checksum,
+#                                    pinned or observed, must be rejected
 # Env:   BUILD     build directory holding bench/ (default: build)
 #        MANIFEST  manifest path (default: bench/golden.txt)
 set -euo pipefail
@@ -23,6 +26,7 @@ set -euo pipefail
 build=${BUILD:-build}
 manifest=${MANIFEST:-bench/golden.txt}
 threads="1 4"
+empty_basis=0xcbf29ce484222325  # Fnv1aChecksum of no values
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
@@ -92,13 +96,28 @@ compare_outputs() {
   return $status
 }
 
+# is_empty_checksum <values>: 0 iff the space-separated <values> hold the
+# empty-stream basis.
+is_empty_checksum() {
+  case " $1 " in *" $empty_basis "*) return 0 ;; esac
+  return 1
+}
+
 # check_row <label> <command> <expected>: 0 iff every thread count
-# reproduces <expected> and the same {OUT} files.
+# reproduces <expected> and the same {OUT} files, and no value is the
+# empty-stream basis.
 check_row() {
   local label=$1 cmd=$2 expected=$3
   local n got status=0
+  if is_empty_checksum "$expected"; then
+    echo "FAIL $label: pins $empty_basis, the checksum of an empty stream"
+    return 1
+  fi
   for n in $threads; do
     if ! got=$(run_row "$label" "$cmd" "$n"); then
+      status=1
+    elif is_empty_checksum "$got"; then
+      echo "FAIL $label --threads=$n: printed $empty_basis, the checksum of an empty stream"
       status=1
     elif [ "$got" = "$expected" ]; then
       echo "ok   $label --threads=$n: $got"
@@ -151,6 +170,30 @@ if [ "${1:-}" = "--self-test" ]; then
     exit 1
   fi
   echo "OK: golden gate self-test (a mismatched {OUT} file pair was rejected)"
+  # The empty-stream checks: a row pinning the basis fails before anything
+  # runs, and a bench that prints it fails by name, not only as a mismatch.
+  if out=$(check_row self_test empty_bench "$empty_basis"); then
+    echo "::error::golden gate self-test: a row pinning $empty_basis was accepted"
+    exit 1
+  fi
+  echo "$out" | grep -q "empty stream" || {
+    echo "::error::golden gate self-test: a pinned $empty_basis was not named as empty"
+    exit 1
+  }
+  mkdir -p "$scratch/empty_build/bench"
+  printf '#!/bin/sh\necho "checksum: 0x0000000000000001"\necho "checksum: %s"\n' \
+    "$empty_basis" > "$scratch/empty_build/bench/empty_bench"
+  chmod +x "$scratch/empty_build/bench/empty_bench"
+  if out=$(build="$scratch/empty_build" check_row self_test empty_bench \
+             "0x0000000000000001 0x0000000000000002" 2>&1); then
+    echo "::error::golden gate self-test: an observed $empty_basis was accepted"
+    exit 1
+  fi
+  echo "$out" | grep -q "printed $empty_basis" || {
+    echo "::error::golden gate self-test: an observed $empty_basis was not named as empty"
+    exit 1
+  }
+  echo "OK: golden gate self-test (an empty-stream checksum, pinned or observed, was rejected)"
   exit 0
 fi
 
