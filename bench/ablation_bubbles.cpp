@@ -14,7 +14,9 @@
 #include "spacecdn/bubbles.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "ablation_bubbles";
@@ -109,3 +111,7 @@ int main(int argc, char** argv) {
                "whichever satellite is overhead.\n";
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -8,7 +8,9 @@
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "ablation_cell_load";
@@ -50,3 +52,7 @@ int main(int argc, char** argv) {
                "columns show.\n";
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -138,9 +138,7 @@ load::LoadConfig ablated(const load::LoadConfig& config) {
   return off;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   sim::RunnerOptions options;
   options.name = "ablation_chaos";
   options.title = "Ablation: compound-failure chaos scenarios under load";
@@ -337,3 +335,7 @@ int main(int argc, char** argv) {
   }
   return runner.finish(ok);
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -19,7 +19,9 @@
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "ablation_churn";
@@ -107,3 +109,7 @@ int main(int argc, char** argv) {
   runner.record("availability_accept", accept.availability);
   return runner.finish(accept.availability >= 0.99 && rerun == accept);
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

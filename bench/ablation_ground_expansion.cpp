@@ -52,9 +52,7 @@ Milliseconds bent_pipe_rtt(const lsn::StarlinkNetwork& base,
   return route->propagation_rtt() + base.access().config().median_overhead_rtt;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   sim::RunnerOptions options;
   options.name = "ablation_ground_expansion";
   options.title = "What-if: African ground expansion vs SpaceCDN";
@@ -112,3 +110,7 @@ int main(int argc, char** argv) {
                "licensing/land/backhaul programme the paper describes).\n";
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

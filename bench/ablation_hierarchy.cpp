@@ -12,7 +12,9 @@
 #include "terrestrial/isp.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "ablation_hierarchy";
@@ -90,3 +92,7 @@ int main(int argc, char** argv) {
   runner.record("flat_mean_first_byte_ms", flat_latency.mean());
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

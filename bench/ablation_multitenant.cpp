@@ -9,7 +9,9 @@
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "ablation_multitenant";
@@ -61,3 +63,7 @@ int main(int argc, char** argv) {
                "purchased share, at the cost of the quiet tenants' isolation.\n";
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -26,9 +26,7 @@ using namespace spacecdn;
 
 const std::vector<double> kLoadMultipliers{0.5, 1.0, 2.0, 4.0, 8.0, 16.0};
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   sim::RunnerOptions options;
   options.name = "ablation_overload";
   options.title = "Ablation: overload behaviour of the request-level load engine";
@@ -127,3 +125,7 @@ int main(int argc, char** argv) {
   }
   return runner.finish(ok);
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -20,9 +20,7 @@ constexpr double kPaperTbPerSatellite = 150.0;
 constexpr double kPaperFleetSatellites = 6000.0;
 constexpr double kPaperVideoMb = 2.0 * 3600.0 * 3.0 / 8.0;  // 2 h @ 3 Mbps
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "ablation_placement";
@@ -75,3 +73,7 @@ int main(int argc, char** argv) {
             << shell.size() << " satellites\n";
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

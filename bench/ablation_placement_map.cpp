@@ -53,9 +53,7 @@ double moved_gb(const sim::ChurnCycleResult& r) {
   return r.repair.bytes_moved_mb / 1000.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   sim::RunnerOptions options;
   options.name = "ablation_placement_map";
   options.title = "Ablation: jump-hash placement vs re-place-everything under churn";
@@ -187,3 +185,7 @@ int main(int argc, char** argv) {
   runner.record("availability_jump", jump.availability);
   return runner.finish(moves_less && no_worse && rerun == jump);
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -10,7 +10,9 @@
 #include "spacecdn/space_vm.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "ablation_space_vm";
@@ -63,3 +65,7 @@ int main(int argc, char** argv) {
                "scales with delta size and cadence.\n";
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -9,7 +9,9 @@
 #include "spacecdn/thermal.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "ablation_thermal";
@@ -58,3 +60,7 @@ int main(int argc, char** argv) {
                "violations).\n";
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

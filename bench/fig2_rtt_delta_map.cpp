@@ -9,7 +9,9 @@
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "fig2_rtt_delta_map";
@@ -81,3 +83,7 @@ int main(int argc, char** argv) {
   runner.record("starlink_faster_countries", static_cast<double>(starlink_faster));
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

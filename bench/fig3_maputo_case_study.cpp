@@ -46,9 +46,7 @@ void print_side(const spacecdn::measurement::AimAnalysis& analysis,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "fig3_maputo_case_study";
@@ -77,3 +75,7 @@ int main(int argc, char** argv) {
   }
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

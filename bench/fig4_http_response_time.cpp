@@ -9,7 +9,9 @@
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "fig4_http_response_time";
@@ -60,3 +62,7 @@ int main(int argc, char** argv) {
   }
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

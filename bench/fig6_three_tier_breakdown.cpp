@@ -15,7 +15,9 @@
 #include "spacecdn/router.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "fig6_three_tier_breakdown";
@@ -84,3 +86,7 @@ int main(int argc, char** argv) {
   runner.record("tier3_requests", static_cast<double>(counts[2]));
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -70,9 +70,7 @@ CityShard sample_city(const lsn::StarlinkNetwork& network,
   return shard;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   sim::RunnerOptions options;
   options.name = "fig7_spacecdn_cdf";
   options.title = "Figure 7: SpaceCDN fetch-latency CDF vs Starlink/terrestrial CDN";
@@ -169,3 +167,7 @@ int main(int argc, char** argv) {
   runner.record("starlink_p99_ms", starlink_cdn.quantile(0.99));
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -12,7 +12,9 @@
 #include "spacecdn/duty_cycle.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "fig8_duty_cycle";
@@ -67,3 +69,7 @@ int main(int argc, char** argv) {
   }
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -27,9 +27,7 @@ using namespace spacecdn;
 /// Offered load as a multiple of the scenario's arrival-rate.
 const std::vector<double> kLoadMultipliers{0.25, 0.5, 1.0, 2.0, 4.0};
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   sim::RunnerOptions options;
   options.name = "fig9_load_latency_cdf";
   options.title = "Figure 9: completion-latency CDF and p99 vs offered load";
@@ -135,3 +133,7 @@ int main(int argc, char** argv) {
   }
   return runner.finish(ok);
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -36,9 +36,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   sim::RunnerOptions options;
   options.name = "mega_user_load";
   options.title = "Mega-user load: >=1M terminals over a multi-shell constellation";
@@ -188,3 +186,7 @@ int main(int argc, char** argv) {
   }
   return runner.finish(ok);
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -26,9 +26,7 @@ constexpr PaperRow kPaper[] = {
     {"JP", 253.0, 9.0, 57.0, 34.0},
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "table1_distance_rtt";
@@ -91,3 +89,7 @@ int main(int argc, char** argv) {
   runner.record("starlink_worse_countries", static_cast<double>(starlink_worse));
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -11,7 +11,9 @@
 #include "sim/runner.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "table_geoblocking";
@@ -69,3 +71,7 @@ int main(int argc, char** argv) {
   runner.record("mean_displacement_km", summary.mean_displacement.value());
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -75,9 +75,7 @@ double median(std::vector<double> v) {
   return n % 2 != 0 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   sim::RunnerOptions options;
   options.name = "telemetry_overhead";
   options.title = "Telemetry overhead on SpaceCdnRouter::fetch";
@@ -183,3 +181,7 @@ int main(int argc, char** argv) {
   runner.record("full_overhead_pct", overhead_pct[kFull]);
   return runner.finish(pass && same_work);
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

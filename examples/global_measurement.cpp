@@ -12,7 +12,9 @@
 #include "sim/runner.hpp"
 #include "util/csv.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "global_measurement";
@@ -45,3 +47,7 @@ int main(int argc, char** argv) {
   std::cerr << "wrote " << csv.rows_written() << " country rows\n";
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -79,9 +79,7 @@ void print_fetch_waterfalls(spacecdn::sim::World& world,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "trace_path";
@@ -119,3 +117,7 @@ int main(int argc, char** argv) {
   }
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

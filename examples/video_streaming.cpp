@@ -12,7 +12,9 @@
 #include "spacecdn/striping.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spacecdn;
   sim::RunnerOptions options;
   options.name = "video_streaming";
@@ -64,3 +66,7 @@ int main(int argc, char** argv) {
             << ground.worst_stripe_rtt << " (loaded-link bufferbloat included)\n";
   return runner.finish();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return spacecdn::sim::guarded_main(argc, argv, run); }

@@ -1,6 +1,7 @@
 #include "sim/runner.hpp"
 
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "util/error.hpp"
@@ -76,7 +77,7 @@ Runner::Runner(int argc, const char* const* argv, RunnerOptions options)
 }
 
 Runner::~Runner() {
-  if (!finished_) (void)finish(true);
+  if (!finished_ && std::uncaught_exceptions() == 0) (void)finish(true);
 }
 
 ThreadPool& Runner::pool() {
@@ -159,6 +160,15 @@ int Runner::finish(bool ok) {
   if (json_file_.is_open()) write_json(ok);
   exit_code_ = ok ? 0 : 1;
   return exit_code_;
+}
+
+int guarded_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const ConfigError& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
 }
 
 }  // namespace spacecdn::sim

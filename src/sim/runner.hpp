@@ -64,7 +64,8 @@ class Runner {
   /// output file that cannot be opened for writing.
   Runner(int argc, const char* const* argv, RunnerOptions options);
 
-  /// Runs finish() if the bench did not (keeps early-return paths honest).
+  /// Runs finish() if the bench did not (keeps early-return paths honest),
+  /// unless an exception is unwinding the run.
   ~Runner();
 
   Runner(const Runner&) = delete;
@@ -134,5 +135,11 @@ class Runner {
   bool finished_ = false;
   int exit_code_ = 0;
 };
+
+/// The shared `main` of every Runner-based binary: returns body(argc, argv),
+/// or prints "error: <what>" on stderr and returns 1 when it throws a
+/// spacecdn::ConfigError (a malformed flag or scenario value, or an output
+/// file that cannot be opened).
+int guarded_main(int argc, char** argv, int (*body)(int, char**));
 
 }  // namespace spacecdn::sim

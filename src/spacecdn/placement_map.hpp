@@ -34,12 +34,12 @@
 //    diversity rule.  Storage cost drops from replicas x to (k+m)/k x; an
 //    object stays readable while any `data` fragments survive.
 //
-// RepairDaemon (resilience.hpp) audits the map in delta mode: it keeps the
-// membership snapshot it last synced to and, on each audit, moves only the
-// (object, slot) pairs whose assignment differs between the synced and the
-// current snapshot -- the "bytes moved per churn cycle" metric of
-// bench/ablation_placement_map.  Under kPerPlane the two snapshots always
-// agree, so the audit reduces to restoring crash-lost copies.
+// RepairDaemon (resilience.hpp) audits the map in delta mode: it keeps each
+// object's holder set under the membership version it last synced and, when
+// the version moves, recomputes the sets and moves only the (object, slot)
+// pairs that changed -- the "bytes moved per churn cycle" metric of
+// bench/ablation_placement_map.  Under kPerPlane the sets never change, so
+// the audit reduces to restoring crash-lost copies.
 #pragma once
 
 #include <cstdint>
@@ -175,7 +175,7 @@ class PlacementMap {
   /// holder may be dark.
   [[nodiscard]] std::vector<std::uint32_t> replicas(cdn::ContentId id) const;
 
-  /// Holders under an explicit liveness snapshot (delta repair, what-if).
+  /// Holders under an explicit liveness snapshot (what-if analysis).
   /// `live` must have one entry per satellite.
   [[nodiscard]] std::vector<std::uint32_t> replicas_under(
       cdn::ContentId id, const std::vector<bool>& live) const;

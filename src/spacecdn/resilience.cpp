@@ -1,7 +1,9 @@
 #include "spacecdn/resilience.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
@@ -127,44 +129,40 @@ RepairDaemon::RepairDaemon(SatelliteFleet& fleet, const PlacementMap& map,
       map_(&map),
       catalog_(std::move(catalog)),
       config_(config),
-      synced_live_(map.membership().bitmap()),
       synced_version_(map.membership().version()) {
   SPACECDN_EXPECT(config_.scan_interval.value() > 0.0,
                   "repair scan interval must be positive");
   SPACECDN_EXPECT(map.membership().size() == fleet.size(),
                   "placement map must cover the fleet");
+  holders_.reserve(catalog_.size());
+  for (const cdn::ContentItem& item : catalog_) holders_.push_back(map.replicas(item.id));
 }
 
 void RepairDaemon::note_crash(std::uint32_t sat, Milliseconds at) {
   open_crashes_.emplace_back(sat, at);
 }
 
-bool RepairDaemon::fully_replicated_on(std::uint32_t sat) const {
-  if (!fleet_->cache_enabled(sat)) return false;
-  for (const cdn::ContentItem& item : catalog_) {
-    const auto replicas = map_->replicas(item.id);
-    if (std::find(replicas.begin(), replicas.end(), sat) == replicas.end()) continue;
-    if (!fleet_->cache(sat).contains(item.id)) return false;
-  }
-  return true;
-}
-
-void RepairDaemon::audit(Milliseconds now, RepairReport& report) {
-  const MembershipMap& membership = map_->membership();
+RepairReport RepairDaemon::run_once(Milliseconds now) {
+  RepairReport report;
   // The jump policies only assign live satellites: a failed satellite's
   // objects are re-routed the moment membership flips, and flow back just as
   // minimally on recovery.  The fixed per-plane layout ignores membership,
-  // so its holder sets never differ between snapshots; a dark holder is
-  // deferred below until it comes back.
-  const bool delta = membership.version() != synced_version_;
-  for (const cdn::ContentItem& item : catalog_) {
+  // so its holder sets never change; a dark holder is deferred below until
+  // it comes back.
+  const bool delta = map_->membership().version() != synced_version_;
+  for (std::size_t i = 0; i < catalog_.size(); ++i) {
+    const cdn::ContentItem& item = catalog_[i];
     ++report.objects_scanned;
-    const auto now_set = map_->replicas(item.id);
+    // On a version change the delta's old set is the stored set it replaces.
     std::vector<std::uint32_t> old_set;
-    if (delta) old_set = map_->replicas_under(item.id, synced_live_);
+    if (delta) old_set = std::exchange(holders_[i], map_->replicas(item.id));
+    const std::vector<std::uint32_t>& now_set = holders_[i];
 
     cdn::ContentItem stored = item;
     stored.size = map_->stored_bytes(item);
+    // Whether another space holder has the object: looked up at the first
+    // missing slot, then set by each install (no set lists a satellite twice).
+    std::optional<bool> space_copy;
     for (const std::uint32_t slot : now_set) {
       if (fleet_->holds(slot, item.id)) continue;
       if (!fleet_->cache_enabled(slot)) {
@@ -175,37 +173,32 @@ void RepairDaemon::audit(Milliseconds now, RepairReport& report) {
         continue;
       }
       ++report.under_replicated;
+      if (!space_copy) {
+        space_copy = std::any_of(now_set.begin(), now_set.end(), [&](std::uint32_t s) {
+          return fleet_->holds(s, item.id);
+        });
+      }
       const bool is_move =
           delta && std::find(old_set.begin(), old_set.end(), slot) == old_set.end();
-      const bool space_source =
-          std::any_of(now_set.begin(), now_set.end(), [&](std::uint32_t other) {
-            return other != slot && fleet_->holds(other, item.id);
-          });
       if (fleet_->cache(slot).insert(stored, now)) {
-        (space_source ? report.re_replicated : report.ground_refills) += 1;
+        (*space_copy ? report.re_replicated : report.ground_refills) += 1;
+        space_copy = true;
         if (is_move) ++report.moved;
         report.bytes_moved_mb += stored.size.value();
       } else {
         ++report.unrepairable;  // fragment/object larger than the slot's cache
       }
     }
-    if (delta) {
-      // Capacity follows the map: drop copies from satellites this object no
-      // longer lives on (a local delete -- no repair traffic).
-      for (const std::uint32_t slot : old_set) {
-        if (std::find(now_set.begin(), now_set.end(), slot) != now_set.end()) continue;
-        if (!fleet_->cache_enabled(slot)) continue;
-        if (fleet_->cache(slot).erase(item.id)) ++report.evicted_stale;
-      }
+    // Capacity follows the map: drop copies from satellites this object no
+    // longer lives on (a local delete -- no repair traffic).
+    for (const std::uint32_t slot : old_set) {
+      if (std::find(now_set.begin(), now_set.end(), slot) != now_set.end()) continue;
+      if (!fleet_->cache_enabled(slot)) continue;
+      if (fleet_->cache(slot).erase(item.id)) ++report.evicted_stale;
     }
   }
-  synced_live_ = membership.bitmap();
-  synced_version_ = membership.version();
-}
+  synced_version_ = map_->membership().version();
 
-RepairReport RepairDaemon::run_once(Milliseconds now) {
-  RepairReport report;
-  audit(now, report);
   ++scans_;
   totals_ += report;
   if (auto* m = obs::metrics()) {
@@ -223,9 +216,18 @@ RepairReport RepairDaemon::run_once(Milliseconds now) {
     m->gauge("spacecdn_repair_bytes_moved_mb").add(report.bytes_moved_mb);
     m->gauge("spacecdn_repair_open_crashes").set(static_cast<double>(open_crashes_.size()));
   }
-  // Close every crash whose satellite is back up and fully re-replicated.
+  // Close every crash whose satellite is up and, after the scan's last install
+  // (which may evict an earlier copy), holds every object mapped to it.
+  if (open_crashes_.empty()) return report;
+  std::vector<bool> complete(fleet_->size(), false);
+  for (const auto& [sat, at] : open_crashes_) complete[sat] = fleet_->cache_enabled(sat);
+  for (std::size_t i = 0; i < catalog_.size(); ++i) {
+    for (const std::uint32_t sat : holders_[i]) {
+      if (complete[sat]) complete[sat] = fleet_->holds(sat, catalog_[i].id);
+    }
+  }
   std::erase_if(open_crashes_, [&](const std::pair<std::uint32_t, Milliseconds>& crash) {
-    if (!fully_replicated_on(crash.first)) return false;
+    if (!complete[crash.first]) return false;
     time_to_repair_.add((now - crash.second).value());
     return true;
   });

@@ -13,12 +13,12 @@
 //    under-replicated objects from surviving space holders (or the ground
 //    origin as a last resort), restoring the redundancy a cache crash
 //    destroyed.  It reports time-to-repair so churn experiments can quantify
-//    how long the constellation runs degraded.  The audit runs in *delta*
-//    mode -- diff the membership snapshot it last synced against the current
-//    one and move only the changed assignments, which is the bytes-moved
-//    metric bench/ablation_placement_map compares across policies.  Under
-//    the fixed per-plane layout nothing ever moves; the audit only restores
-//    crash-lost copies and defers dark holders.
+//    how long the constellation runs degraded.  It keeps each object's
+//    holder set under the membership version it last synced and, when the
+//    version moves, installs and evicts only the changed assignments -- the
+//    bytes-moved metric bench/ablation_placement_map compares across
+//    policies.  Under the fixed per-plane layout nothing ever moves; the
+//    audit only restores crash-lost copies and defers dark holders.
 #pragma once
 
 #include <cstdint>
@@ -114,7 +114,7 @@ struct RepairReport {
 class RepairDaemon {
  public:
   /// Audits `map` in delta mode.  Each scan moves only the (object, slot)
-  /// assignments that changed since the membership snapshot it last synced
+  /// assignments that changed since the membership version it last synced
   /// -- plus crash-lost copies -- and evicts stale copies from satellites an
   /// object no longer maps to.  The map must outlive the daemon.
   /// @param catalog  the objects whose placement invariant the daemon
@@ -153,10 +153,6 @@ class RepairDaemon {
   }
 
  private:
-  /// Whether every object with `sat` in its replica set is present there.
-  [[nodiscard]] bool fully_replicated_on(std::uint32_t sat) const;
-  void audit(Milliseconds now, RepairReport& report);
-
   SatelliteFleet* fleet_;
   const PlacementMap* map_;
   std::vector<cdn::ContentItem> catalog_;
@@ -165,9 +161,10 @@ class RepairDaemon {
   std::uint64_t scans_ = 0;
   std::vector<std::pair<std::uint32_t, Milliseconds>> open_crashes_;
   des::SampleSet time_to_repair_;
-  // Delta-repair state: the membership snapshot the fleet's cache contents
-  // were last reconciled against.
-  std::vector<bool> synced_live_;
+  // Delta-repair state: the holder set of each catalog object (same index)
+  // under the membership version the fleet's cache contents were last
+  // reconciled against.
+  std::vector<std::vector<std::uint32_t>> holders_;
   std::uint64_t synced_version_ = 0;
 };
 

@@ -284,7 +284,7 @@ std::optional<LookupResult> SpaceCdnRouter::map_lookup(std::uint32_t serving,
   for (const std::uint32_t sat : placement_map_->replicas(id)) {
     // Holders must actually carry the copy: a freshly restored cache is a
     // map member again before the repair daemon has refilled it.
-    if (!fleet_->cache_enabled(sat) || !fleet_->cache(sat).contains(id)) continue;
+    if (!fleet_->holds(sat, id)) continue;
     if (!tree->reachable(sat)) continue;
     const std::uint32_t hops = sat == serving ? 0 : tree->hops_to(sat);
     if (hops > config_.max_isl_hops) continue;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/datasets.hpp"
@@ -290,6 +291,233 @@ TEST(RepairDaemonMapMode, DeltaRepairMovesOnlyTheDelta) {
   EXPECT_EQ(quiet.moved, 0u);
   EXPECT_EQ(quiet.under_replicated, 0u);
   EXPECT_EQ(quiet.bytes_moved_mb, 0.0);
+}
+
+/// The repair scan as it was before RepairDaemon kept its holder sets: it
+/// recomputed both snapshots' holder sets per object on every scan, and
+/// closed a crash by recomputing every object's holder set per open crash.
+/// Kept as the reference RepairDaemon must match exactly.
+class ReferenceRepairDaemon {
+ public:
+  ReferenceRepairDaemon(SatelliteFleet& fleet, const PlacementMap& map,
+                        std::vector<cdn::ContentItem> catalog)
+      : fleet_(&fleet),
+        map_(&map),
+        catalog_(std::move(catalog)),
+        synced_live_(map.membership().bitmap()),
+        synced_version_(map.membership().version()) {}
+
+  void note_crash(std::uint32_t sat, Milliseconds at) {
+    open_crashes_.emplace_back(sat, at);
+  }
+
+  RepairReport run_once(Milliseconds now) {
+    RepairReport report;
+    audit(now, report);
+    totals_ += report;
+    std::erase_if(open_crashes_, [&](const auto& crash) {
+      if (!fully_replicated_on(crash.first)) return false;
+      time_to_repair_.push_back((now - crash.second).value());
+      return true;
+    });
+    return report;
+  }
+
+  [[nodiscard]] const RepairReport& totals() const { return totals_; }
+  [[nodiscard]] std::size_t open_crashes() const { return open_crashes_.size(); }
+  [[nodiscard]] const std::vector<double>& time_to_repair() const {
+    return time_to_repair_;
+  }
+
+ private:
+  [[nodiscard]] bool fully_replicated_on(std::uint32_t sat) const {
+    if (!fleet_->cache_enabled(sat)) return false;
+    for (const cdn::ContentItem& item : catalog_) {
+      const auto replicas = map_->replicas(item.id);
+      if (std::find(replicas.begin(), replicas.end(), sat) == replicas.end()) continue;
+      if (!fleet_->cache(sat).contains(item.id)) return false;
+    }
+    return true;
+  }
+
+  void audit(Milliseconds now, RepairReport& report) {
+    const MembershipMap& membership = map_->membership();
+    const bool delta = membership.version() != synced_version_;
+    for (const cdn::ContentItem& item : catalog_) {
+      ++report.objects_scanned;
+      const auto now_set = map_->replicas(item.id);
+      std::vector<std::uint32_t> old_set;
+      if (delta) old_set = map_->replicas_under(item.id, synced_live_);
+
+      cdn::ContentItem stored = item;
+      stored.size = map_->stored_bytes(item);
+      for (const std::uint32_t slot : now_set) {
+        if (fleet_->holds(slot, item.id)) continue;
+        if (!fleet_->cache_enabled(slot)) {
+          ++report.unrepairable;
+          continue;
+        }
+        ++report.under_replicated;
+        const bool is_move =
+            delta && std::find(old_set.begin(), old_set.end(), slot) == old_set.end();
+        const bool space_source =
+            std::any_of(now_set.begin(), now_set.end(), [&](std::uint32_t other) {
+              return other != slot && fleet_->holds(other, item.id);
+            });
+        if (fleet_->cache(slot).insert(stored, now)) {
+          (space_source ? report.re_replicated : report.ground_refills) += 1;
+          if (is_move) ++report.moved;
+          report.bytes_moved_mb += stored.size.value();
+        } else {
+          ++report.unrepairable;
+        }
+      }
+      if (delta) {
+        for (const std::uint32_t slot : old_set) {
+          if (std::find(now_set.begin(), now_set.end(), slot) != now_set.end()) continue;
+          if (!fleet_->cache_enabled(slot)) continue;
+          if (fleet_->cache(slot).erase(item.id)) ++report.evicted_stale;
+        }
+      }
+    }
+    synced_live_ = membership.bitmap();
+    synced_version_ = membership.version();
+  }
+
+  SatelliteFleet* fleet_;
+  const PlacementMap* map_;
+  std::vector<cdn::ContentItem> catalog_;
+  RepairReport totals_;
+  std::vector<std::pair<std::uint32_t, Milliseconds>> open_crashes_;
+  std::vector<double> time_to_repair_;
+  std::vector<bool> synced_live_;
+  std::uint64_t synced_version_ = 0;
+};
+
+/// One fleet + map pair driven by the churn storm below.
+struct StormSide {
+  StormSide(const orbit::WalkerConstellation& c, const PlacementMapConfig& config,
+            Megabytes capacity)
+      : fleet(c.size(), FleetConfig{capacity, cdn::CachePolicy::kLru}), map(c, config) {}
+  SatelliteFleet fleet;
+  PlacementMap map;
+};
+
+void expect_same_fleet(const SatelliteFleet& a, const SatelliteFleet& b,
+                       const std::vector<cdn::ContentItem>& catalog) {
+  for (std::uint32_t sat = 0; sat < a.size(); ++sat) {
+    ASSERT_EQ(a.cache_enabled(sat), b.cache_enabled(sat)) << "sat " << sat;
+    ASSERT_EQ(a.cache(sat).object_count(), b.cache(sat).object_count()) << "sat " << sat;
+    ASSERT_EQ(a.cache(sat).used().value(), b.cache(sat).used().value()) << "sat " << sat;
+    for (const cdn::ContentItem& it : catalog) {
+      ASSERT_EQ(a.cache(sat).contains(it.id), b.cache(sat).contains(it.id))
+          << "sat " << sat << " object " << it.id;
+    }
+  }
+}
+
+TEST(RepairDaemonEquivalence, MatchesTheRecomputingScanUnderAChurnStorm) {
+  // Two identical fleet+map pairs on the 8x8 test shell, one repaired by the
+  // reference scan and one by RepairDaemon, fed the same seeded storm of
+  // membership flips (mirrored and not), cache crashes, restores, outages,
+  // pull-through copies and scans.  The 6 MB fleet is small enough that
+  // repair installs evict other objects' copies, and object 0 never fits.
+  const orbit::WalkerConstellation c(orbit::test_shell());
+  struct Case {
+    PlacementMapConfig config;
+    double capacity_mb;
+  };
+  const std::vector<Case> cases{
+      {{.policy = PlacementPolicy::kBaseline}, 1000.0},
+      {{.policy = PlacementPolicy::kJump}, 1000.0},
+      {{.policy = PlacementPolicy::kJump, .diversity = ReplicaDiversity::kPhase}, 1000.0},
+      {{.policy = PlacementPolicy::kJumpEc}, 1000.0},
+      {{.policy = PlacementPolicy::kPerPlane, .replicas = 2}, 1000.0},
+      {{.policy = PlacementPolicy::kJump}, 6.0},
+      {{.policy = PlacementPolicy::kPerPlane, .replicas = 1, .plane_stride = 2}, 6.0},
+  };
+  std::vector<cdn::ContentItem> catalog{item(0, 50.0)};
+  for (cdn::ContentId id = 1; id < 40; ++id) {
+    catalog.push_back(item(id, 1.0 + static_cast<double>(id % 4)));
+  }
+
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const Case& tc = cases[k];
+    SCOPED_TRACE("case " + std::to_string(k) + ": " +
+                 std::string(to_string(tc.config.policy)) + ", " +
+                 std::to_string(tc.capacity_mb) + " MB");
+    StormSide ref_side(c, tc.config, Megabytes{tc.capacity_mb});
+    StormSide new_side(c, tc.config, Megabytes{tc.capacity_mb});
+    for (const cdn::ContentItem& it : catalog) {
+      ref_side.map.place(ref_side.fleet, it, kNow);
+      new_side.map.place(new_side.fleet, it, kNow);
+    }
+    ReferenceRepairDaemon reference(ref_side.fleet, ref_side.map, catalog);
+    RepairDaemon daemon(new_side.fleet, new_side.map, catalog);
+
+    des::Rng rng(1700 + k);
+    double now = 0.0;
+    for (int step = 0; step < 600; ++step) {
+      now += 10.0;
+      const Milliseconds at{now};
+      const auto sat = static_cast<std::uint32_t>(rng.uniform_int(0, c.size() - 1));
+      const bool flag = rng.chance(0.5);
+      const auto object =
+          static_cast<std::size_t>(rng.uniform_int(0, catalog.size() - 1));
+      const auto op = rng.uniform_int(0, 6);
+      for (StormSide* side : {&ref_side, &new_side}) {
+        switch (op) {
+          case 0:
+            side->fleet.crash_cache(sat);
+            break;
+          case 1:
+            side->fleet.restore_cache(sat);
+            break;
+          case 2:
+            side->fleet.set_online(sat, flag);
+            break;
+          case 3:  // the churn controller mirroring cache liveness
+            (void)side->map.membership().set_live(sat, side->fleet.cache_enabled(sat));
+            break;
+          case 4:  // a flip the fleet has not caught up with
+            (void)side->map.membership().set_live(sat, flag);
+            break;
+          case 5:  // a pull-through copy outside the map
+            if (side->fleet.cache_enabled(sat)) {
+              (void)side->fleet.cache(sat).insert(catalog[object], at);
+            }
+            break;
+          default:
+            break;
+        }
+      }
+      if (op == 0) {
+        reference.note_crash(sat, at);
+        daemon.note_crash(sat, at);
+      }
+      if (op != 6) continue;
+      const RepairReport want = reference.run_once(at);
+      const RepairReport got = daemon.run_once(at);
+      ASSERT_EQ(got, want) << "step " << step;
+      ASSERT_EQ(daemon.totals(), reference.totals()) << "step " << step;
+      ASSERT_EQ(daemon.open_crashes(), reference.open_crashes()) << "step " << step;
+      ASSERT_EQ(daemon.time_to_repair().raw(), reference.time_to_repair())
+          << "step " << step;
+      expect_same_fleet(ref_side.fleet, new_side.fleet, catalog);
+      if (HasFatalFailure()) return;
+    }
+    // The storm reached every decision the scan makes.
+    EXPECT_GT(reference.time_to_repair().size(), 0u);
+    EXPECT_GT(reference.totals().re_replicated, 0u);
+    EXPECT_GT(reference.totals().unrepairable, 0u);
+    if (tc.config.policy != PlacementPolicy::kPerPlane) {
+      EXPECT_GT(reference.totals().moved, 0u);
+      EXPECT_GT(reference.totals().evicted_stale, 0u);
+    }
+    if (tc.capacity_mb < 10.0) {
+      EXPECT_GT(ref_side.fleet.aggregate_stats().evictions, 0u);
+    }
+  }
 }
 
 }  // namespace

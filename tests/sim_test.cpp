@@ -433,6 +433,45 @@ TEST(RunnerOutputTest, WritableJsonOutIsWrittenAtFinish) {
   EXPECT_NE(text.find("\"bench\": \"sim_test_outputs\""), std::string::npos);
 }
 
+TEST(GuardedMainTest, ConfigErrorPrintsOneLineAndReturnsOne) {
+  ::testing::internal::CaptureStderr();
+  const int code = sim::guarded_main(0, nullptr, [](int, char**) {
+    construct_runner_with("json-out", unwritable_path());
+    return 0;
+  });
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(code, 1);
+  EXPECT_EQ(err, "error: cannot open --json-out=" + unwritable_path() + " for writing\n");
+}
+
+TEST(GuardedMainTest, PassesTheBodysExitCodeThrough) {
+  EXPECT_EQ(sim::guarded_main(0, nullptr, [](int, char**) { return 0; }), 0);
+  EXPECT_EQ(sim::guarded_main(0, nullptr, [](int, char**) { return 3; }), 3);
+}
+
+/// Where GuardedMainTest.ThrowAfterConstructionWritesNoResults writes.
+std::string aborted_json_path() {
+  return ::testing::TempDir() + "sim_test_aborted_run.json";
+}
+
+TEST(GuardedMainTest, ThrowAfterConstructionWritesNoResults) {
+  // A run that fails after the Runner opened its outputs must not publish a
+  // results file: the unwinding Runner skips finish().
+  ::testing::internal::CaptureStderr();
+  const int code = sim::guarded_main(0, nullptr, [](int, char**) -> int {
+    const std::string arg = "--json-out=" + aborted_json_path();
+    const std::array<const char*, 2> argv{"sim_test", arg.c_str()};
+    sim::Runner runner(static_cast<int>(argv.size()), argv.data(), {});
+    throw ConfigError("late failure");
+  });
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "error: late failure\n");
+  EXPECT_EQ(code, 1);
+  std::ifstream in(aborted_json_path());
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, "");
+}
+
 // ---------------------------------------------------------------------------
 // Layer 3: Runner parity with the pre-refactor direct-call path
 // ---------------------------------------------------------------------------
