@@ -47,14 +47,17 @@ class IslNetwork {
 
   /// Incrementally fails a satellite's ISL terminals: every incident link is
   /// removed, so routes detour around it from now on.  No-op if already
-  /// failed.  O(degree) -- churn simulations flip satellites thousands of
-  /// times without rebuilding the constellation graph.
+  /// failed.  O(degree): only the rows of `sat` and its partners are
+  /// patched, so churn simulations flip satellites thousands of times
+  /// without rebuilding the constellation graph.
   void fail(std::uint32_t sat);
 
   /// Reverses fail(): re-adds the links towards every currently-healthy
   /// +grid neighbour, with weights recomputed from the same snapshot
-  /// geometry, so a fail/recover round-trip restores shortest-path
-  /// latencies bit-identically.  No-op if not failed.
+  /// geometry, appended to the touched rows in partner order.  SSSP trees
+  /// do not depend on row order, so a fail/recover round-trip restores
+  /// shortest-path latencies and parents bit-identically.  No-op if not
+  /// failed.
   void recover(std::uint32_t sat);
 
   /// Rebinds the network to a new ephemeris snapshot of the same

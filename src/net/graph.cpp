@@ -1,25 +1,38 @@
 #include "net/graph.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <bit>
+#include <cmath>
 
 #include "util/error.hpp"
 
 namespace spacecdn::net {
 
 NodeId Graph::add_node() {
-  adjacency_.emplace_back();
-  csr_dirty_.store(true, std::memory_order_release);
-  return static_cast<NodeId>(adjacency_.size() - 1);
+  rows_.emplace_back();
+  return static_cast<NodeId>(rows_.size() - 1);
 }
 
 void Graph::add_edge(NodeId from, NodeId to, Milliseconds weight) {
-  SPACECDN_EXPECT(from < adjacency_.size() && to < adjacency_.size(),
+  SPACECDN_EXPECT(from < rows_.size() && to < rows_.size(),
                   "edge endpoints must be existing nodes");
-  SPACECDN_EXPECT(weight.value() >= 0.0, "edge weight must be non-negative");
-  adjacency_[from].push_back(Edge{to, weight});
+  SPACECDN_EXPECT(std::isfinite(weight.value()) && weight.value() >= 0.0,
+                  "edge weight must be finite and non-negative");
+  Row& row = rows_[from];
+  if (row.size == row.capacity) {
+    // Move the row to the end with doubled capacity; its old slots go unused.
+    const std::uint32_t capacity = std::max<std::uint32_t>(4, 2 * row.capacity);
+    const std::size_t begin = slots_.size();
+    slots_.resize(begin + capacity);
+    std::copy_n(slots_.begin() + static_cast<std::ptrdiff_t>(row.begin), row.size,
+                slots_.begin() + static_cast<std::ptrdiff_t>(begin));
+    row.begin = begin;
+    row.capacity = capacity;
+  }
+  slots_[row.begin + row.size++] = Edge{to, weight};
   ++edges_;
-  csr_dirty_.store(true, std::memory_order_release);
+  min_weight_ = std::min(min_weight_, weight.value());
+  max_weight_ = std::max(max_weight_, weight.value());
 }
 
 void Graph::add_undirected_edge(NodeId a, NodeId b, Milliseconds weight) {
@@ -28,15 +41,16 @@ void Graph::add_undirected_edge(NodeId a, NodeId b, Milliseconds weight) {
 }
 
 std::size_t Graph::remove_edge(NodeId from, NodeId to) {
-  SPACECDN_EXPECT(from < adjacency_.size() && to < adjacency_.size(),
+  SPACECDN_EXPECT(from < rows_.size() && to < rows_.size(),
                   "edge endpoints must be existing nodes");
-  auto& adj = adjacency_[from];
-  const auto removed_begin =
-      std::remove_if(adj.begin(), adj.end(), [to](const Edge& e) { return e.to == to; });
-  const auto removed = static_cast<std::size_t>(adj.end() - removed_begin);
-  adj.erase(removed_begin, adj.end());
+  Row& row = rows_[from];
+  Edge* const first = slots_.data() + row.begin;
+  Edge* const last = first + row.size;
+  const Edge* const kept_end =
+      std::remove_if(first, last, [to](const Edge& e) { return e.to == to; });
+  const auto removed = static_cast<std::uint32_t>(last - kept_end);
+  row.size -= removed;
   edges_ -= removed;
-  if (removed != 0) csr_dirty_.store(true, std::memory_order_release);
   return removed;
 }
 
@@ -45,148 +59,168 @@ std::size_t Graph::remove_undirected_edge(NodeId a, NodeId b) {
 }
 
 std::span<const Edge> Graph::neighbors(NodeId node) const {
-  SPACECDN_EXPECT(node < adjacency_.size(), "node id out of range");
-  return adjacency_[node];
+  SPACECDN_EXPECT(node < rows_.size(), "node id out of range");
+  const Row& row = rows_[node];
+  return {slots_.data() + row.begin, row.size};
 }
 
 void Graph::clear_edges() noexcept {
-  for (auto& adj : adjacency_) adj.clear();
+  for (Row& row : rows_) row.size = 0;
   edges_ = 0;
-  csr_dirty_.store(true, std::memory_order_release);
-}
-
-void Graph::rebuild_csr() const {
-  const std::size_t n = adjacency_.size();
-  csr_offsets_.assign(n + 1, 0);
-  csr_targets_.clear();
-  csr_targets_.reserve(edges_);
-  csr_weights_.clear();
-  csr_weights_.reserve(edges_);
-  double min_weight = kUnreachableWeight;
-  for (std::size_t u = 0; u < n; ++u) {
-    // Flattening preserves per-node edge order, the property the queries
-    // rely on for bit-exact relaxation order.
-    for (const Edge& e : adjacency_[u]) {
-      csr_targets_.push_back(e.to);
-      csr_weights_.push_back(e.weight.value());
-      if (e.weight.value() < min_weight) min_weight = e.weight.value();
-    }
-    csr_offsets_[u + 1] = static_cast<std::uint32_t>(csr_targets_.size());
-  }
-  csr_min_weight_ = min_weight;
-}
-
-CsrView Graph::csr() const {
-  if (csr_dirty_.load(std::memory_order_acquire)) {
-    const std::lock_guard lock(csr_mutex_);
-    if (csr_dirty_.load(std::memory_order_relaxed)) {
-      rebuild_csr();
-      // Publishes the rebuilt arrays: a reader whose acquire load above sees
-      // `false` also sees every write rebuild_csr made.
-      csr_dirty_.store(false, std::memory_order_release);
-    }
-  }
-  return CsrView{csr_offsets_, csr_targets_, csr_weights_};
-}
-
-Milliseconds Graph::min_edge_weight() const {
-  (void)csr();  // ensure csr_min_weight_ is current
-  return Milliseconds{csr_min_weight_};
+  min_weight_ = std::numeric_limits<double>::infinity();
+  max_weight_ = 0.0;
 }
 
 namespace {
 
-struct QueueEntry {
+struct Label {
   double dist;
   NodeId node;
-  bool operator>(const QueueEntry& o) const noexcept { return dist > o.dist; }
 };
+
+/// Heap order that pops the smallest (dist, node) first.
+bool pops_after(const Label& a, const Label& b) noexcept {
+  return a.dist > b.dist || (a.dist == b.dist && a.node > b.node);
+}
+
+/// Largest max/min edge-weight ratio scanned with lightest-edge buckets.  It
+/// caps the bucket ring (and so per-thread memory) at a constant.  It also
+/// keeps every distance below 2^53 lightest weights, so d + w > d on every
+/// relaxation: with no zero-length step the (dist, node) tie rule yields
+/// the heap's tree.
+constexpr double kMaxWeightSpan = 256.0;
+
+/// The bucket loop.  `Ordered` pops each bucket as a (dist, node) heap with
+/// first-come parents; otherwise buckets are scanned in push order and
+/// equal-distance parents are settled by (dist, node).
+template <bool Ordered>
+void grow_tree(const Graph& graph, NodeId source, double width,
+               std::span<std::vector<Label>> buckets, std::vector<Milliseconds>& dist,
+               std::vector<NodeId>& parent) {
+  const double per_width = 1.0 / width;
+  const std::size_t mask = buckets.size() - 1;
+  std::size_t pending = 0;  // labels pushed and not yet popped
+  const auto push = [&](double d, NodeId v) {
+    auto& bucket = buckets[static_cast<std::size_t>(d * per_width) & mask];
+    bucket.push_back(Label{d, v});
+    if constexpr (Ordered) std::push_heap(bucket.begin(), bucket.end(), pops_after);
+    ++pending;
+  };
+  const auto settle = [&](Label label) {
+    const auto [d, u] = label;
+    if (d > dist[u].value()) return;  // superseded by a shorter push
+    for (const Edge& e : graph.neighbors(u)) {
+      const double nd = d + e.weight.value();
+      const double old = dist[e.to].value();
+      if (nd < old) {
+        dist[e.to] = Milliseconds{nd};
+        parent[e.to] = u;
+        push(nd, e.to);
+      } else if constexpr (!Ordered) {
+        if (nd == old) {
+          const NodeId p = parent[e.to];
+          const double dp = dist[p].value();
+          if (d < dp || (d == dp && u < p)) parent[e.to] = u;
+        }
+      }
+    }
+  };
+
+  dist[source] = Milliseconds{0.0};
+  push(0.0, source);
+  // Bucket k holds labels with floor(dist / width) == k; a relaxation never
+  // lowers that index, and never raises it by more than the ring's span.
+  for (std::size_t k = 0; pending > 0; ++k) {
+    auto& bucket = buckets[k & mask];
+    if constexpr (Ordered) {
+      while (!bucket.empty()) {
+        std::pop_heap(bucket.begin(), bucket.end(), pops_after);
+        const Label label = bucket.back();
+        bucket.pop_back();
+        --pending;
+        settle(label);
+      }
+    } else {
+      // Indexed: settle() may append to this bucket when rounding puts a
+      // relaxed distance back into it.
+      for (std::size_t i = 0; i < bucket.size(); ++i) settle(bucket[i]);
+      pending -= bucket.size();
+      bucket.clear();
+    }
+  }
+}
 
 }  // namespace
 
-std::vector<Milliseconds> shortest_distances(const Graph& g, NodeId source) {
-  SPACECDN_EXPECT(source < g.node_count(), "source node out of range");
-  const CsrView csr = g.csr();
-  std::vector<double> dist(g.node_count(), kUnreachable);
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
-  dist[source] = 0.0;
-  pq.push({0.0, source});
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;  // stale entry
-    // CSR edge order == insertion order, so the relaxation sequence (and any
-    // equal-distance tie outcome) matches the adjacency-list loop exactly.
-    for (std::uint32_t ei = csr.offsets[u]; ei < csr.offsets[u + 1]; ++ei) {
-      const NodeId v = csr.targets[ei];
-      const double nd = d + csr.weights[ei];
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        pq.push({nd, v});
-      }
-    }
+SsspTree::SsspTree(const Graph& graph, NodeId source)
+    : source_(source),
+      distances_(graph.node_count(), Milliseconds{kUnreachable}),
+      parents_(graph.node_count(), source) {
+  SPACECDN_EXPECT(source < graph.node_count(), "source node out of range");
+  const double lightest = graph.min_edge_weight().value();
+  const double heaviest = graph.max_edge_weight().value();
+  double width = std::max(lightest, heaviest / kMaxWeightSpan);
+  if (!(width > 0.0 && width < kUnreachable)) width = 1.0;  // no edges, or all weigh 0
+  // A push lands at most floor(heaviest / width) + 1 buckets ahead (plus one
+  // for rounding), so this ring never wraps onto a live bucket.
+  const auto ring = std::bit_ceil(static_cast<std::size_t>(heaviest / width) + 3);
+  thread_local std::vector<std::vector<Label>> buckets;  // all empty between builds
+  if (buckets.size() < ring) buckets.resize(ring);
+  const std::span<std::vector<Label>> used(buckets.data(), ring);
+  if (width == lightest) {
+    grow_tree<false>(graph, source, width, used, distances_, parents_);
+  } else {
+    grow_tree<true>(graph, source, width, used, distances_, parents_);
   }
-  std::vector<Milliseconds> out;
-  out.reserve(dist.size());
-  for (double d : dist) out.emplace_back(d);
-  return out;
 }
 
-std::optional<Path> shortest_path(const Graph& g, NodeId source, NodeId target) {
-  SPACECDN_EXPECT(source < g.node_count() && target < g.node_count(),
-                  "path endpoints must be existing nodes");
-  const CsrView csr = g.csr();
-  std::vector<double> dist(g.node_count(), kUnreachable);
-  std::vector<NodeId> prev(g.node_count(), source);
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
-  dist[source] = 0.0;
-  pq.push({0.0, source});
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (u == target) break;
-    if (d > dist[u]) continue;
-    for (std::uint32_t ei = csr.offsets[u]; ei < csr.offsets[u + 1]; ++ei) {
-      const NodeId v = csr.targets[ei];
-      const double nd = d + csr.weights[ei];
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        prev[v] = u;
-        pq.push({nd, v});
-      }
-    }
-  }
-  if (dist[target] == kUnreachable) return std::nullopt;
+std::uint32_t SsspTree::hops_to(NodeId target) const {
+  SPACECDN_EXPECT(target < distances_.size(), "target node out of range");
+  SPACECDN_EXPECT(reachable(target), "target unreachable from SSSP source");
+  std::uint32_t hops = 0;
+  for (NodeId n = target; n != source_; n = parents_[n]) ++hops;
+  return hops;
+}
 
+Path SsspTree::path_to(NodeId target) const {
+  SPACECDN_EXPECT(target < distances_.size(), "target node out of range");
+  SPACECDN_EXPECT(reachable(target), "target unreachable from SSSP source");
   Path path;
-  path.total = Milliseconds{dist[target]};
-  for (NodeId n = target;; n = prev[n]) {
+  path.total = distances_[target];
+  for (NodeId n = target;; n = parents_[n]) {
     path.nodes.push_back(n);
-    if (n == source) break;
+    if (n == source_) break;
   }
   std::reverse(path.nodes.begin(), path.nodes.end());
   return path;
 }
 
+std::vector<Milliseconds> shortest_distances(const Graph& g, NodeId source) {
+  return SsspTree(g, source).distances();
+}
+
+std::optional<Path> shortest_path(const Graph& g, NodeId source, NodeId target) {
+  SPACECDN_EXPECT(target < g.node_count(), "path endpoints must be existing nodes");
+  const SsspTree tree(g, source);
+  if (!tree.reachable(target)) return std::nullopt;
+  return tree.path_to(target);
+}
+
 std::vector<HopDistance> nodes_within_hops(const Graph& g, NodeId source,
                                            std::uint32_t max_hops) {
   SPACECDN_EXPECT(source < g.node_count(), "source node out of range");
-  const CsrView csr = g.csr();
   std::vector<bool> seen(g.node_count(), false);
-  std::vector<HopDistance> out;
-  std::queue<HopDistance> frontier;
   seen[source] = true;
-  frontier.push({source, 0});
-  while (!frontier.empty()) {
-    const HopDistance cur = frontier.front();
-    frontier.pop();
-    out.push_back(cur);
+  // The output doubles as the FIFO frontier: nodes are emitted in the order
+  // they are discovered.
+  std::vector<HopDistance> out{{source, 0}};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const HopDistance cur = out[i];
     if (cur.hops == max_hops) continue;
-    for (std::uint32_t ei = csr.offsets[cur.node]; ei < csr.offsets[cur.node + 1]; ++ei) {
-      const NodeId v = csr.targets[ei];
-      if (!seen[v]) {
-        seen[v] = true;
-        frontier.push({v, cur.hops + 1});
+    for (const Edge& e : g.neighbors(cur.node)) {
+      if (!seen[e.to]) {
+        seen[e.to] = true;
+        out.push_back({e.to, cur.hops + 1});
       }
     }
   }

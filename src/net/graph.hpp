@@ -4,10 +4,8 @@
 // all map onto them).  Edge weights are one-way latencies in milliseconds.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -34,56 +32,29 @@ struct Path {
   }
 };
 
-/// Read-only flattened adjacency: three parallel arrays in compressed
-/// sparse row layout.  Node u's outgoing edges occupy indices
-/// [offsets[u], offsets[u+1]), in exactly the order add_edge created them,
-/// so algorithms walking the view relax edges in the same order as the
-/// original adjacency-list loops -- bit-identical results, better locality.
-struct CsrView {
-  std::span<const std::uint32_t> offsets;  // node_count()+1 entries
-  std::span<const NodeId> targets;
-  std::span<const double> weights;  // milliseconds, raw doubles for the hot loop
-};
-
-/// Adjacency-list digraph with latency weights and a lazily-maintained CSR
-/// mirror for query hot paths.
+/// Digraph with latency weights.  All edges live in one flat array in which
+/// every node owns a contiguous row with slack, so adding or removing an
+/// edge patches one row in place: a fault touches O(degree) slots, never the
+/// whole graph.  A row that outgrows its slack moves to the end of the array
+/// with doubled capacity; clear_edges() keeps every row's slots.
+///
+/// Within a row, edges keep insertion order: removal closes the gap without
+/// reordering and re-adding appends.  nodes_within_hops emits neighbours in
+/// that order, so BFS tie-breaks depend on it.
 class Graph {
  public:
   Graph() = default;
   /// Pre-creates `n` nodes (ids 0..n-1).
-  explicit Graph(std::size_t n) : adjacency_(n) {}
-
-  // Copies/moves carry the adjacency lists and leave the CSR mirror dirty;
-  // it is a cache, rebuilt on the next query.  (Spelled out because the
-  // mutex/atomic members are not copyable.)
-  Graph(const Graph& other) : adjacency_(other.adjacency_), edges_(other.edges_) {}
-  Graph& operator=(const Graph& other) {
-    if (this != &other) {
-      adjacency_ = other.adjacency_;
-      edges_ = other.edges_;
-      csr_dirty_.store(true, std::memory_order_release);
-    }
-    return *this;
-  }
-  Graph(Graph&& other) noexcept
-      : adjacency_(std::move(other.adjacency_)), edges_(other.edges_) {}
-  Graph& operator=(Graph&& other) noexcept {
-    if (this != &other) {
-      adjacency_ = std::move(other.adjacency_);
-      edges_ = other.edges_;
-      csr_dirty_.store(true, std::memory_order_release);
-    }
-    return *this;
-  }
+  explicit Graph(std::size_t n) : rows_(n) {}
 
   /// Adds a node; returns its id.
   NodeId add_node();
 
-  [[nodiscard]] std::size_t node_count() const noexcept { return adjacency_.size(); }
+  [[nodiscard]] std::size_t node_count() const noexcept { return rows_.size(); }
   [[nodiscard]] std::size_t edge_count() const noexcept { return edges_; }
 
-  /// Adds a directed edge.  @throws spacecdn::ConfigError on bad ids or
-  /// negative weight.
+  /// Adds a directed edge.  @throws spacecdn::ConfigError on bad ids or a
+  /// negative or non-finite weight.
   void add_edge(NodeId from, NodeId to, Milliseconds weight);
 
   /// Adds edges in both directions with the same weight.
@@ -97,55 +68,94 @@ class Graph {
   /// Removes a<->b in both directions; returns how many edges were removed.
   std::size_t remove_undirected_edge(NodeId a, NodeId b);
 
+  /// Outgoing edges of `node` in row order; valid until the next mutation.
   [[nodiscard]] std::span<const Edge> neighbors(NodeId node) const;
 
-  /// Drops all edges but keeps the nodes (used when the topology is
-  /// recomputed every ephemeris step).
+  /// Drops all edges but keeps the nodes and their row slots (used when the
+  /// topology is recomputed every ephemeris step).
   void clear_edges() noexcept;
 
-  /// The CSR mirror, rebuilding it first if any mutation happened since the
-  /// last query.  The returned spans stay valid until the next mutation.
-  ///
-  /// Thread-safe against concurrent csr() calls (double-checked rebuild
-  /// under an internal mutex), matching the RoutingCache discipline: many
-  /// concurrent readers, never a reader concurrent with a mutation.
-  [[nodiscard]] CsrView csr() const;
-
-  /// Smallest edge weight in the graph, or Milliseconds{infinity} when the
-  /// graph has no edges.  This is the natural conservative lookahead for a
-  /// sharded simulation whose cross-shard interactions traverse the graph:
-  /// no event can influence another shard in less than one edge delay.
-  [[nodiscard]] Milliseconds min_edge_weight() const;
+  /// Bounds on the edge weights: every edge weighs at least
+  /// min_edge_weight() and at most max_edge_weight().  Both track add_edge
+  /// and reset on clear_edges (to infinity and 0); remove_edge leaves them,
+  /// so they may be loose after a removal.  SsspTree sizes its distance
+  /// buckets from them.
+  [[nodiscard]] Milliseconds min_edge_weight() const noexcept {
+    return Milliseconds{min_weight_};
+  }
+  [[nodiscard]] Milliseconds max_edge_weight() const noexcept {
+    return Milliseconds{max_weight_};
+  }
 
  private:
-  /// Flattens adjacency_ into the csr_* arrays; caller holds csr_mutex_.
-  void rebuild_csr() const;
+  struct Row {
+    std::size_t begin = 0;  // first slot in slots_
+    std::uint32_t size = 0;
+    std::uint32_t capacity = 0;
+  };
 
-  std::vector<std::vector<Edge>> adjacency_;
+  std::vector<Row> rows_;
+  std::vector<Edge> slots_;
   std::size_t edges_ = 0;
-
-  // CSR mirror: a cache of adjacency_, rebuilt lazily.  `mutable` + the
-  // dirty-flag dance lets const query paths (shortest_distances & friends
-  // under RoutingCache's parallel sweeps) share one rebuild without a lock
-  // on every query: the release store of `false` publishes the arrays, the
-  // acquire load on the fast path synchronises with it.
-  mutable std::mutex csr_mutex_;
-  mutable std::atomic<bool> csr_dirty_{true};
-  mutable std::vector<std::uint32_t> csr_offsets_;
-  mutable std::vector<NodeId> csr_targets_;
-  mutable std::vector<double> csr_weights_;
-  mutable double csr_min_weight_ = kUnreachableWeight;
-
-  static constexpr double kUnreachableWeight = std::numeric_limits<double>::infinity();
+  double min_weight_ = std::numeric_limits<double>::infinity();
+  double max_weight_ = 0.0;
 };
 
 inline constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 
-/// Single-source shortest distances (Dijkstra, binary heap).  Unreachable
-/// nodes get Milliseconds{infinity}.
+/// One single-source shortest-path tree, immutable once computed.
+///
+/// The tree is a pure function of the edge set.  `parent[v]` is the
+/// in-neighbour u with the smallest (distance(u), u) among those where
+/// distance(u) + w(u, v) == distance(v), compared as exact doubles; it is
+/// `source` for the source itself and for unreachable nodes.  This is the
+/// tree a binary-heap Dijkstra popping in (distance, node) order builds,
+/// whatever the edge order.  (With zero-weight edges, or weights too small
+/// to change a sum, the rule is that heap's: the earliest-popped in-neighbour.)
+///
+/// The kernel is a bucketed label-setting search.  Buckets are
+/// min_edge_weight() wide, so no relaxation lands in the bucket being
+/// scanned and each bucket is scanned in any order, ties settled by the rule
+/// above.  Graphs with a zero-weight edge, or whose max/min weight ratio
+/// exceeds the bucket ring, use wider buckets, each popped in (distance,
+/// node) order, which reproduces the heap exactly.  Bucket storage is
+/// per-thread and reused, so concurrent builds on one graph are safe.
+class SsspTree {
+ public:
+  SsspTree(const Graph& graph, NodeId source);
+
+  [[nodiscard]] NodeId source() const noexcept { return source_; }
+
+  [[nodiscard]] Milliseconds distance(NodeId target) const {
+    return distances_[target];
+  }
+  [[nodiscard]] bool reachable(NodeId target) const {
+    return distances_[target].value() != kUnreachable;
+  }
+  [[nodiscard]] const std::vector<Milliseconds>& distances() const noexcept {
+    return distances_;
+  }
+
+  /// Hop count of the shortest path source -> target; 0 for the source
+  /// itself.  @throws spacecdn::ConfigError when target is unreachable.
+  [[nodiscard]] std::uint32_t hops_to(NodeId target) const;
+
+  /// Node sequence of the shortest path (source first), reconstructed from
+  /// the parent array.  @throws spacecdn::ConfigError when unreachable.
+  [[nodiscard]] Path path_to(NodeId target) const;
+
+ private:
+  NodeId source_;
+  std::vector<Milliseconds> distances_;
+  std::vector<NodeId> parents_;
+};
+
+/// Single-source shortest distances (one SsspTree).  Unreachable nodes get
+/// Milliseconds{infinity}.
 [[nodiscard]] std::vector<Milliseconds> shortest_distances(const Graph& g, NodeId source);
 
-/// Shortest path between two nodes, or nullopt when unreachable.
+/// Shortest path between two nodes (the SsspTree path), or nullopt when
+/// unreachable.
 [[nodiscard]] std::optional<Path> shortest_path(const Graph& g, NodeId source,
                                                 NodeId target);
 
@@ -156,8 +166,8 @@ struct HopDistance {
 };
 
 /// All nodes within `max_hops` of `source` (including source at 0 hops),
-/// in breadth-first order.  Edge weights are ignored; this is the ISL
-/// hop-count search the SpaceCDN lookup uses.
+/// in breadth-first order, neighbours in row order.  Edge weights are
+/// ignored; this is the ISL hop-count search the SpaceCDN lookup uses.
 [[nodiscard]] std::vector<HopDistance> nodes_within_hops(const Graph& g, NodeId source,
                                                          std::uint32_t max_hops);
 

@@ -1,71 +1,8 @@
 #include "net/routing_cache.hpp"
 
-#include <algorithm>
-#include <queue>
-
 #include "util/error.hpp"
 
 namespace spacecdn::net {
-
-namespace {
-
-struct QueueEntry {
-  double dist;
-  NodeId node;
-  bool operator>(const QueueEntry& o) const noexcept { return dist > o.dist; }
-};
-
-}  // namespace
-
-SsspTree::SsspTree(const Graph& graph, NodeId source) : source_(source) {
-  SPACECDN_EXPECT(source < graph.node_count(), "source node out of range");
-  // CSR keeps the relaxation order of the adjacency-list loop (per-node edge
-  // order is insertion order), so cached trees are bit-identical to the
-  // direct shortest_path/shortest_distances results they memoise.
-  const CsrView csr = graph.csr();
-  std::vector<double> dist(graph.node_count(), kUnreachable);
-  parents_.assign(graph.node_count(), source);
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
-  dist[source] = 0.0;
-  pq.push({0.0, source});
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;  // stale entry
-    for (std::uint32_t ei = csr.offsets[u]; ei < csr.offsets[u + 1]; ++ei) {
-      const NodeId v = csr.targets[ei];
-      const double nd = d + csr.weights[ei];
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        parents_[v] = u;
-        pq.push({nd, v});
-      }
-    }
-  }
-  distances_.reserve(dist.size());
-  for (double d : dist) distances_.emplace_back(d);
-}
-
-std::uint32_t SsspTree::hops_to(NodeId target) const {
-  SPACECDN_EXPECT(target < distances_.size(), "target node out of range");
-  SPACECDN_EXPECT(reachable(target), "target unreachable from SSSP source");
-  std::uint32_t hops = 0;
-  for (NodeId n = target; n != source_; n = parents_[n]) ++hops;
-  return hops;
-}
-
-Path SsspTree::path_to(NodeId target) const {
-  SPACECDN_EXPECT(target < distances_.size(), "target node out of range");
-  SPACECDN_EXPECT(reachable(target), "target unreachable from SSSP source");
-  Path path;
-  path.total = distances_[target];
-  for (NodeId n = target;; n = parents_[n]) {
-    path.nodes.push_back(n);
-    if (n == source_) break;
-  }
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  return path;
-}
 
 RoutingCache::RoutingCache(const Graph& graph, std::size_t max_sources)
     : graph_(&graph), max_sources_(max_sources) {
@@ -81,9 +18,9 @@ std::shared_ptr<const SsspTree> RoutingCache::tree(NodeId source) const {
       return it->second.tree;
     }
   }
-  // Miss (or stale): compute outside any lock -- Dijkstra dominates -- then
-  // insert.  A racing thread may compute the same tree; both results are
-  // identical, the second insert just wins.
+  // Miss (or stale): compute outside any lock -- the tree build dominates --
+  // then insert.  A racing thread may compute the same tree; both results
+  // are identical, the second insert just wins.
   auto computed = std::make_shared<const SsspTree>(*graph_, source);
   std::unique_lock lock(mutex_);
   misses_.fetch_add(1, std::memory_order_relaxed);

@@ -4,11 +4,13 @@
 // recover events), yet every simulated fetch used to re-run a full Dijkstra
 // -- sometimes one per BFS candidate.  Hypatia and StarryNet precompute
 // per-snapshot routing state for exactly this reason.  RoutingCache memoises
-// whole SSSP trees (distances + parent arrays) per source node, so
-// `path_latency`, `latencies_from`, and hop-count reconstruction all come
-// from one cached Dijkstra.  Entries are keyed by a topology epoch that the
-// graph owner bumps on every mutation; stale trees are discarded lazily and
-// an LRU bound caps the number of cached sources.
+// whole SSSP trees (net::SsspTree: distances + parent arrays) per source
+// node, so `path_latency`, `latencies_from`, and hop-count reconstruction
+// all come from one cached tree.  A tree is a pure function of the edge set,
+// so a miss recomputes exactly the tree that was dropped.  Entries are keyed
+// by a topology epoch that the graph owner bumps on every mutation; stale
+// trees are discarded lazily and an LRU bound caps the number of cached
+// sources.
 #pragma once
 
 #include <atomic>
@@ -23,40 +25,6 @@
 #include "net/graph.hpp"
 
 namespace spacecdn::net {
-
-/// One single-source shortest-path tree: the full Dijkstra result from
-/// `source`, immutable once computed.  `parent[v]` is the predecessor of `v`
-/// on the shortest path (== `source` for the source itself and for
-/// unreachable nodes, matching shortest_path()'s convention).
-class SsspTree {
- public:
-  SsspTree(const Graph& graph, NodeId source);
-
-  [[nodiscard]] NodeId source() const noexcept { return source_; }
-
-  [[nodiscard]] Milliseconds distance(NodeId target) const {
-    return distances_[target];
-  }
-  [[nodiscard]] bool reachable(NodeId target) const {
-    return distances_[target].value() != kUnreachable;
-  }
-  [[nodiscard]] const std::vector<Milliseconds>& distances() const noexcept {
-    return distances_;
-  }
-
-  /// Hop count of the shortest path source -> target; 0 for the source
-  /// itself.  @throws spacecdn::ConfigError when target is unreachable.
-  [[nodiscard]] std::uint32_t hops_to(NodeId target) const;
-
-  /// Node sequence of the shortest path (source first), reconstructed from
-  /// the parent array.  @throws spacecdn::ConfigError when unreachable.
-  [[nodiscard]] Path path_to(NodeId target) const;
-
- private:
-  NodeId source_;
-  std::vector<Milliseconds> distances_;
-  std::vector<NodeId> parents_;
-};
 
 /// Cache statistics (cumulative over the cache's lifetime).
 struct RoutingCacheStats {

@@ -1,6 +1,7 @@
 #include "sim/scenario.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -24,8 +25,9 @@ std::string trim(const std::string& s) {
 double parse_double(const std::string& key, const std::string& value) {
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
-  SPACECDN_EXPECT(!value.empty() && end != nullptr && *end == '\0',
-                  "scenario key '" + key + "' expects a number, got '" + value + "'");
+  if (value.empty() || end == nullptr || *end != '\0') {
+    throw ConfigError("scenario key '" + key + "' expects a number, got '" + value + "'");
+  }
   return parsed;
 }
 
@@ -33,8 +35,9 @@ long parse_long(const std::string& key, const std::string& value) {
   errno = 0;
   char* end = nullptr;
   const long parsed = std::strtol(value.c_str(), &end, 10);
-  SPACECDN_EXPECT(!value.empty() && end != nullptr && *end == '\0' && errno != ERANGE,
-                  "scenario key '" + key + "' expects an integer, got '" + value + "'");
+  if (value.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
+    throw ConfigError("scenario key '" + key + "' expects an integer, got '" + value + "'");
+  }
   return parsed;
 }
 

@@ -41,6 +41,7 @@ TEST(Graph, RejectsBadEdges) {
   Graph g(2);
   EXPECT_THROW(g.add_edge(0, 5, Milliseconds{1.0}), ConfigError);
   EXPECT_THROW(g.add_edge(0, 1, Milliseconds{-1.0}), ConfigError);
+  EXPECT_THROW(g.add_edge(0, 1, Milliseconds{kUnreachable}), ConfigError);
   EXPECT_THROW((void)g.neighbors(9), ConfigError);
 }
 
@@ -51,41 +52,46 @@ TEST(Graph, ClearEdgesKeepsNodes) {
   EXPECT_EQ(g.edge_count(), 0u);
 }
 
-TEST(Csr, ViewMatchesAdjacencyInInsertionOrder) {
-  const Graph g = diamond();
-  const CsrView csr = g.csr();
-  ASSERT_EQ(csr.offsets.size(), g.node_count() + 1);
-  EXPECT_EQ(csr.targets.size(), g.edge_count());
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    const auto& adj = g.neighbors(u);
-    ASSERT_EQ(csr.offsets[u + 1] - csr.offsets[u], adj.size());
-    for (std::size_t k = 0; k < adj.size(); ++k) {
-      // Per-node edge order is insertion order: Dijkstra's relaxation
-      // sequence over the flat view is bit-identical to the nested one.
-      EXPECT_EQ(csr.targets[csr.offsets[u] + k], adj[k].to);
-      EXPECT_EQ(csr.weights[csr.offsets[u] + k], adj[k].weight.value());
-    }
-  }
+TEST(Graph, RowsKeepInsertionOrderAcrossRemoveAndRestore) {
+  Graph g = diamond();
+  for (NodeId peer : {2u, 3u}) g.add_edge(1, peer, Milliseconds{2.0});
+  // Row 1 is now 0, 3, 2, 3: removal closes the gap without reordering...
+  EXPECT_EQ(g.remove_edge(1, 3), 2u);
+  ASSERT_EQ(g.neighbors(1).size(), 2u);
+  EXPECT_EQ(g.neighbors(1)[0].to, 0u);
+  EXPECT_EQ(g.neighbors(1)[1].to, 2u);
+  // ...and a restore appends, growing the row past its slack.
+  for (NodeId peer : {3u, 0u, 2u, 3u}) g.add_edge(1, peer, Milliseconds{3.0});
+  std::vector<NodeId> row;
+  for (const Edge& e : g.neighbors(1)) row.push_back(e.to);
+  EXPECT_EQ(row, (std::vector<NodeId>{0, 2, 3, 0, 2, 3}));
+  EXPECT_EQ(g.edge_count(), 12u);
+  // Other rows are untouched by the move.
+  ASSERT_EQ(g.neighbors(0).size(), 2u);
+  EXPECT_EQ(g.neighbors(0)[0].to, 1u);
+  EXPECT_EQ(g.neighbors(0)[1].to, 2u);
 }
 
-TEST(Csr, RebuildsAfterMutationAndTracksMinWeight) {
+TEST(Graph, TracksEdgeWeightBounds) {
   Graph g = diamond();
   EXPECT_EQ(g.min_edge_weight().value(), 1.0);
+  EXPECT_EQ(g.max_edge_weight().value(), 5.0);
   g.add_undirected_edge(1, 2, Milliseconds{0.25});
-  const CsrView csr = g.csr();  // lazily rebuilt after the mutation
-  EXPECT_EQ(csr.targets.size(), g.edge_count());
+  EXPECT_EQ(g.min_edge_weight().value(), 0.25);
+  g.remove_undirected_edge(1, 2);  // a bound, not exact: removal leaves it
   EXPECT_EQ(g.min_edge_weight().value(), 0.25);
   g.clear_edges();
-  EXPECT_EQ(g.csr().targets.size(), 0u);
+  EXPECT_TRUE(g.neighbors(0).empty());
   EXPECT_TRUE(std::isinf(g.min_edge_weight().value()));  // no edges
+  EXPECT_EQ(g.max_edge_weight().value(), 0.0);
 }
 
-TEST(Csr, CopiedGraphHasIndependentView) {
-  Graph original = diamond();
-  (void)original.csr();
+TEST(Graph, CopiedGraphIsIndependent) {
+  const Graph original = diamond();
   Graph copy = original;
   copy.add_undirected_edge(0, 3, Milliseconds{0.5});
-  EXPECT_EQ(copy.csr().targets.size(), original.csr().targets.size() + 2);
+  EXPECT_EQ(copy.edge_count(), original.edge_count() + 2);
+  EXPECT_EQ(copy.neighbors(0).size(), original.neighbors(0).size() + 1);
   EXPECT_EQ(original.min_edge_weight().value(), 1.0);
   EXPECT_EQ(copy.min_edge_weight().value(), 0.5);
 }

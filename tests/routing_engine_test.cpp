@@ -5,15 +5,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <numeric>
+#include <queue>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "data/datasets.hpp"
 #include "des/random.hpp"
+#include "lsn/isl_network.hpp"
 #include "lsn/starlink.hpp"
 #include "measurement/aim.hpp"
 #include "net/graph.hpp"
 #include "net/routing_cache.hpp"
+#include "orbit/ephemeris.hpp"
+#include "orbit/walker.hpp"
 #include "sim/world.hpp"
 #include "spacecdn/fleet.hpp"
 #include "spacecdn/lookup.hpp"
@@ -42,20 +49,89 @@ net::Graph random_graph(des::Rng& rng, std::uint32_t nodes, std::uint32_t extra_
   return g;
 }
 
+/// Textbook binary-heap Dijkstra popping in (dist, node) order, parents set
+/// on strict improvement only: the reference every SsspTree must equal bit
+/// for bit, whatever kernel builds it.
+struct ReferenceTree {
+  std::vector<double> dist;
+  std::vector<net::NodeId> parent;
+};
+
+ReferenceTree reference_dijkstra(const net::Graph& g, net::NodeId source) {
+  ReferenceTree t{std::vector<double>(g.node_count(), net::kUnreachable),
+                  std::vector<net::NodeId>(g.node_count(), source)};
+  using Entry = std::pair<double, net::NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  t.dist[source] = 0.0;
+  heap.push({0.0, source});
+  while (!heap.empty()) {
+    const auto [d, u] = heap.top();
+    heap.pop();
+    if (d > t.dist[u]) continue;  // stale entry
+    for (const net::Edge& e : g.neighbors(u)) {
+      const double nd = d + e.weight.value();
+      if (nd < t.dist[e.to]) {
+        t.dist[e.to] = nd;
+        t.parent[e.to] = u;
+        heap.push({nd, e.to});
+      }
+    }
+  }
+  return t;
+}
+
+/// Number of nodes where `tree` differs from the reference in distance,
+/// hop count or path, and so in any parent on it (0 when bit-identical).
+std::size_t reference_mismatches(const net::SsspTree& tree, const net::Graph& g) {
+  const net::NodeId source = tree.source();
+  const ReferenceTree ref = reference_dijkstra(g, source);
+  std::size_t bad = 0;
+  for (net::NodeId v = 0; v < g.node_count(); ++v) {
+    bool same = tree.distance(v).value() == ref.dist[v];
+    if (same && ref.dist[v] != net::kUnreachable) {
+      std::vector<net::NodeId> path{v};
+      while (path.back() != source) path.push_back(ref.parent[path.back()]);
+      std::reverse(path.begin(), path.end());
+      same = tree.path_to(v).nodes == path && tree.hops_to(v) == path.size() - 1;
+    }
+    if (!same) ++bad;
+  }
+  return bad;
+}
+
+/// Random digraph: a two-way spanning chain (so every node is reachable) plus
+/// random one-way and two-way edges, weights drawn by `weight`.
+template <typename WeightFn>
+net::Graph random_digraph(des::Rng& rng, std::uint32_t nodes, std::uint32_t extra_edges,
+                          WeightFn weight) {
+  net::Graph g(nodes);
+  for (std::uint32_t v = 1; v < nodes; ++v) g.add_undirected_edge(v - 1, v, weight());
+  for (std::uint32_t e = 0; e < extra_edges; ++e) {
+    const auto a = static_cast<net::NodeId>(rng.uniform_int(0, nodes - 1));
+    const auto b = static_cast<net::NodeId>(rng.uniform_int(0, nodes - 1));
+    if (e % 3 == 0) {
+      g.add_edge(a, b, weight());  // one-way, self-loops included
+    } else if (a != b) {
+      g.add_undirected_edge(a, b, weight());
+    }
+  }
+  return g;
+}
+
 // ------------------------------------------------------------- SsspTree
 
 TEST(SsspTree, MatchesDirectDijkstraOnRandomGraphs) {
+  // Real-valued weights: ties are rare, so this pins distances and the
+  // strict-improvement parents against the reference heap.
   des::Rng rng(11);
   for (int trial = 0; trial < 20; ++trial) {
     const net::Graph g = random_graph(rng, 40, 60);
     const auto src = static_cast<net::NodeId>(rng.uniform_int(0, 39));
-    const net::SsspTree tree(g, src);
+    EXPECT_EQ(reference_mismatches(net::SsspTree(g, src), g), 0u) << "trial " << trial;
     const auto direct = net::shortest_distances(g, src);
-    ASSERT_EQ(tree.distances().size(), direct.size());
+    const auto ref = reference_dijkstra(g, src);
     for (net::NodeId v = 0; v < direct.size(); ++v) {
-      // Bit-identical, not approximately equal: the tree runs the exact
-      // relaxation sequence shortest_distances runs.
-      EXPECT_EQ(tree.distance(v).value(), direct[v].value()) << "trial " << trial;
+      EXPECT_EQ(direct[v].value(), ref.dist[v]) << "trial " << trial;
     }
   }
 }
@@ -64,13 +140,50 @@ TEST(SsspTree, PathReconstructionMatchesShortestPath) {
   des::Rng rng(12);
   const net::Graph g = random_graph(rng, 30, 40);
   const net::SsspTree tree(g, 0);
+  const ReferenceTree ref = reference_dijkstra(g, 0);
   for (net::NodeId v = 0; v < 30; ++v) {
     const auto direct = net::shortest_path(g, 0, v);
     ASSERT_TRUE(direct.has_value());
-    const net::Path from_tree = tree.path_to(v);
-    EXPECT_EQ(from_tree.nodes, direct->nodes);
-    EXPECT_EQ(from_tree.total.value(), direct->total.value());
-    EXPECT_EQ(tree.hops_to(v), direct->hop_count());
+    std::vector<net::NodeId> expected{v};
+    while (expected.back() != 0) expected.push_back(ref.parent[expected.back()]);
+    std::reverse(expected.begin(), expected.end());
+    EXPECT_EQ(direct->nodes, expected);
+    EXPECT_EQ(direct->total.value(), ref.dist[v]);
+    EXPECT_EQ(tree.path_to(v).nodes, expected);
+    EXPECT_EQ(tree.hops_to(v), expected.size() - 1);
+  }
+}
+
+TEST(SsspTree, MatchesReferenceOnTiedZeroAndTinyWeights) {
+  // Each family stresses one part of the kernel: small integer weights force
+  // exact-distance ties (the (dist, node) parent rule); zero-weight edges
+  // and 1e-9 ms edges beside 10 ms ones take the (dist, node)-ordered
+  // buckets, where a ring of lightest-edge width would need 1e10 buckets;
+  // all-tiny weights keep lightest-edge buckets at a 1e-9 ms width.
+  const std::vector<std::pair<std::string, std::function<Milliseconds(des::Rng&)>>>
+      families = {
+          {"integer 1..4",
+           [](des::Rng& r) { return Milliseconds{static_cast<double>(r.uniform_int(1, 4))}; }},
+          {"integer 0..3 (zero-weight)",
+           [](des::Rng& r) { return Milliseconds{static_cast<double>(r.uniform_int(0, 3))}; }},
+          {"1e-9 beside 1..10",
+           [](des::Rng& r) {
+             return Milliseconds{r.uniform_int(0, 2) == 0 ? 1e-9
+                                                          : static_cast<double>(r.uniform_int(1, 10))};
+           }},
+          {"all tiny",
+           [](des::Rng& r) { return Milliseconds{1e-9 * static_cast<double>(r.uniform_int(1, 3))}; }},
+      };
+  des::Rng rng(17);
+  for (const auto& [name, weight] : families) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const auto nodes = static_cast<std::uint32_t>(rng.uniform_int(2, 60));
+      const net::Graph g =
+          random_digraph(rng, nodes, nodes * 2, [&rng, &weight] { return weight(rng); });
+      const auto src = static_cast<net::NodeId>(rng.uniform_int(0, nodes - 1));
+      EXPECT_EQ(reference_mismatches(net::SsspTree(g, src), g), 0u)
+          << name << ", trial " << trial;
+    }
   }
 }
 
@@ -82,6 +195,99 @@ TEST(SsspTree, UnreachableNodesThrowOnReconstruction) {
   EXPECT_TRUE(tree.reachable(1));
   EXPECT_THROW((void)tree.hops_to(2), ConfigError);
   EXPECT_THROW((void)tree.path_to(2), ConfigError);
+}
+
+/// Drives a seeded fail/recover storm that holds about 9% of satellites
+/// failed.  After every step: each graph row must equal a shadow adjacency
+/// kept with remove_if/push_back semantics, BFS emission order must equal a
+/// textbook queue BFS over the shadow, and the cached tree from a random
+/// source must equal the reference heap bit for bit.
+void expect_storm_matches_reference(const std::string& preset, std::uint64_t seed,
+                                    int steps) {
+  const orbit::WalkerConstellation constellation(orbit::multi_shell_preset(preset));
+  const orbit::EphemerisSnapshot snapshot(constellation, Milliseconds{0.0});
+  lsn::IslNetwork isl(constellation, snapshot);
+  const auto n = static_cast<std::uint32_t>(constellation.size());
+  // Healthy rows list each satellite's links in the order recover() re-adds them.
+  std::vector<std::vector<net::Edge>> shadow(n);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const auto row = isl.graph().neighbors(s);
+    shadow[s].assign(row.begin(), row.end());
+  }
+  const auto links = shadow;
+  std::vector<std::uint32_t> failed;
+  des::Rng rng(seed);
+  for (int step = 0; step < steps; ++step) {
+    const bool recover =
+        !failed.empty() && (failed.size() >= n / 11 || rng.uniform_int(0, 2) == 0);
+    if (recover) {
+      const auto pick = static_cast<std::size_t>(rng.uniform_int(0, failed.size() - 1));
+      const std::uint32_t sat = failed[pick];
+      failed.erase(failed.begin() + static_cast<std::ptrdiff_t>(pick));
+      isl.recover(sat);
+      for (const net::Edge& link : links[sat]) {
+        if (std::find(failed.begin(), failed.end(), link.to) != failed.end()) continue;
+        shadow[sat].push_back(link);
+        shadow[link.to].push_back({sat, link.weight});
+      }
+    } else {
+      const auto sat = static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
+      if (isl.is_failed(sat)) continue;
+      failed.push_back(sat);
+      isl.fail(sat);
+      for (const net::Edge& link : links[sat]) {
+        std::erase_if(shadow[sat], [&](const net::Edge& e) { return e.to == link.to; });
+        std::erase_if(shadow[link.to], [&](const net::Edge& e) { return e.to == sat; });
+      }
+    }
+
+    std::size_t bad_rows = 0;
+    for (std::uint32_t s = 0; s < n; ++s) {
+      const auto row = isl.graph().neighbors(s);
+      bad_rows += !std::equal(row.begin(), row.end(), shadow[s].begin(), shadow[s].end(),
+                              [](const net::Edge& a, const net::Edge& b) {
+                                return a.to == b.to && a.weight.value() == b.weight.value();
+                              });
+    }
+    ASSERT_EQ(bad_rows, 0u) << preset << ", step " << step;
+
+    const auto src = static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
+    std::vector<net::HopDistance> bfs;
+    std::vector<bool> seen(n, false);
+    std::queue<net::HopDistance> frontier;
+    seen[src] = true;
+    frontier.push({src, 0});
+    while (!frontier.empty()) {
+      const net::HopDistance cur = frontier.front();
+      frontier.pop();
+      bfs.push_back(cur);
+      if (cur.hops == 6) continue;
+      for (const net::Edge& e : shadow[cur.node]) {
+        if (!seen[e.to]) {
+          seen[e.to] = true;
+          frontier.push({e.to, cur.hops + 1});
+        }
+      }
+    }
+    const auto within = isl.within_hops(src, 6);
+    ASSERT_TRUE(std::equal(within.begin(), within.end(), bfs.begin(), bfs.end(),
+                           [](const net::HopDistance& a, const net::HopDistance& b) {
+                             return a.node == b.node && a.hops == b.hops;
+                           }))
+        << preset << ", step " << step;
+
+    ASSERT_EQ(reference_mismatches(*isl.sssp_from(src), isl.graph()), 0u)
+        << preset << ", step " << step << ", source " << src;
+  }
+  EXPECT_FALSE(failed.empty());
+}
+
+TEST(SsspTree, MatchesReferenceUnderShell1FaultStorm) {
+  expect_storm_matches_reference("shell1", 18, 150);
+}
+
+TEST(SsspTree, MatchesReferenceUnderFourShellFaultStorm) {
+  expect_storm_matches_reference("starlink-4shell", 19, 60);
 }
 
 // --------------------------------------------------------- RoutingCache
@@ -152,6 +358,36 @@ TEST(RoutingCache, ConcurrentReadersGetIdenticalDistances) {
     }
   });
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(RoutingCache, ConcurrentMissesEqualSerialTrees) {
+  // Four workers miss on one graph at once, each building in its own bucket
+  // scratch; a cache smaller than the source set keeps them missing.  The
+  // Shell 1 graph takes the lightest-edge buckets, the zero-weight random
+  // graph the ordered ones.
+  des::Rng rng(21);
+  const net::Graph zero_weight = random_digraph(rng, 300, 900, [&rng] {
+    return Milliseconds{static_cast<double>(rng.uniform_int(0, 3))};
+  });
+  for (const net::Graph* g : {&shell1().isl().graph(), &zero_weight}) {
+    std::vector<net::SsspTree> serial;
+    for (net::NodeId src = 0; src < 48; ++src) serial.emplace_back(*g, src * 5);
+    const net::RoutingCache cache(*g, 8);
+    ThreadPool pool(4);
+    std::atomic<int> mismatches{0};
+    pool.parallel_for(192, [&](std::size_t i) {
+      const net::SsspTree& expected = serial[(i * 7) % serial.size()];
+      const auto tree = cache.tree(expected.source());
+      for (net::NodeId v = 0; v < g->node_count(); ++v) {
+        const bool same =
+            tree->distance(v).value() == expected.distance(v).value() &&
+            (!expected.reachable(v) || tree->path_to(v).nodes == expected.path_to(v).nodes);
+        if (!same) mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_GT(cache.stats().misses, serial.size());
+  }
 }
 
 // ------------------------------------------- IslNetwork routing engine

@@ -122,6 +122,24 @@ TEST(ScenarioValuesTest, CliOverridesFile) {
   EXPECT_EQ(values.get("absent", 42L), 42L);
 }
 
+TEST(ScenarioValuesTest, NonNumericValuesThrowOneLineConfigError) {
+  // A config mistake reads as the key and the value, never as an internal
+  // precondition with a source path.
+  const sim::ScenarioValues values({{"threads", "abc"}, {"arrival-rate", "1.5x"}}, {});
+  const auto message_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const ConfigError& e) {
+      return e.what();
+    }
+    return "no ConfigError";
+  };
+  EXPECT_EQ(message_of([&] { (void)values.get("threads", 0L); }),
+            "scenario key 'threads' expects an integer, got 'abc'");
+  EXPECT_EQ(message_of([&] { (void)values.get("arrival-rate", 0.0); }),
+            "scenario key 'arrival-rate' expects a number, got '1.5x'");
+}
+
 TEST(ScenarioValuesTest, ApplySetsTypedFields) {
   sim::ScenarioSpec spec;
   const sim::ScenarioValues values({{"constellation", "test-shell"},
